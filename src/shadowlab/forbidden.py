@@ -1,14 +1,16 @@
 """Freeness tests for the two forbidden families, with explicit witnesses.
 
 A hypergraph is cancellative when A u B = A u C forces B = C among edges;
-equivalently it contains no edge triple with A (symdiff) B inside C. Both
-formulations are implemented and must agree. The clique-expansion family is
+equivalently it contains no edge triple with A (symdiff) B inside C. The
+detector indexes the edges by shared subsets; the plain triple scan stays as
+the oracle it is tested against. The clique-expansion family is
 detected through its core: the graph contains a member iff some (ell+1)-set
 is 2-covered.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -53,19 +55,51 @@ class Witness:
     covering: tuple[tuple[tuple[int, int], tuple[int, ...]], ...] = ()
 
 
-def find_cancellative_violation(
-    h: Hypergraph, method: str = "triple"
-) -> Optional[Witness]:
-    """None iff H is cancellative; otherwise the lexicographically least
-    witness under the chosen detector ("triple" or "union")."""
-    if method == "triple":
-        return _triple_violation(h)
-    if method == "union":
-        return _union_violation(h)
-    raise ParameterError(f"unknown detector {method!r}")
+def find_cancellative_violation(h: Hypergraph) -> Optional[Witness]:
+    """None iff H is cancellative; otherwise the witness (A, B, C) = edges
+    (i, j, k) with the least pair i < j whose symmetric difference lies in
+    some edge, and the least such k.
+
+    A violating pair is A = S u X, B = S u Y with disjoint k-sets X, Y and
+    X u Y inside C, so |A n B| = r - k >= ceil(r/2). Edges are grouped by
+    their ceil(r/2)-subsets and only pairs within a group are tried, each by
+    a lookup of A ^ B among the even-size sub-masks of the edges.
+    """
+    masks = h.edge_masks
+    m = len(masks)
+    if h.r < 2 or m < 3:
+        return None
+    half = (h.r + 1) // 2
+    bits = [[1 << v for v in e] for e in h.edges]
+    groups: dict[int, list[int]] = {}
+    inside: set[int] = set()
+    for i, b in enumerate(bits):
+        for sub in itertools.combinations(b, half):
+            groups.setdefault(sum(sub), []).append(i)
+        for size in range(2, h.r + 1, 2):
+            inside.update(map(sum, itertools.combinations(b, size)))
+    for i, b in enumerate(bits):
+        mi = masks[i]
+        best = m
+        for sub in itertools.combinations(b, half):
+            group = groups[sum(sub)]
+            for j in group[bisect.bisect_right(group, i):]:
+                if j >= best:
+                    break
+                if mi ^ masks[j] in inside:
+                    best = j
+                    break
+        if best < m:
+            diff = mi ^ masks[best]
+            k = next(k for k in range(m) if diff & ~masks[k] == 0)
+            return Witness(
+                "cancellative-triple", edges=(h.edges[i], h.edges[best], h.edges[k])
+            )
+    return None
 
 
-def _triple_violation(h: Hypergraph) -> Optional[Witness]:
+def brute_force_cancellative_violation(h: Hypergraph) -> Optional[Witness]:
+    """Oracle: scan every pair i < j, then every k, in index order."""
     masks = h.edge_masks
     m = len(masks)
     for i in range(m):
@@ -76,25 +110,6 @@ def _triple_violation(h: Hypergraph) -> Optional[Witness]:
                     return Witness(
                         "cancellative-triple",
                         edges=(h.edges[i], h.edges[j], h.edges[k]),
-                    )
-    return None
-
-
-def _union_violation(h: Hypergraph) -> Optional[Witness]:
-    masks = h.edge_masks
-    m = len(masks)
-    for a in range(m):
-        for b in range(m):
-            if b == a:
-                continue
-            union = masks[a] | masks[b]
-            for c in range(b + 1, m):
-                if c == a:
-                    continue
-                if masks[a] | masks[c] == union:
-                    return Witness(
-                        "cancellative-triple",
-                        edges=(h.edges[a], h.edges[b], h.edges[c]),
                     )
     return None
 

@@ -84,6 +84,15 @@ class Hypergraph:
         return tuple(d)
 
     @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """incidence[v] = indices of the edges containing v, ascending."""
+        inc: list[list[int]] = [[] for _ in range(self.n)]
+        for i, e in enumerate(self.edges):
+            for v in e:
+                inc[v].append(i)
+        return tuple(map(tuple, inc))
+
+    @cached_property
     def support(self) -> frozenset[int]:
         return frozenset(v for v in range(self.n) if self.degrees[v] > 0)
 

@@ -132,7 +132,11 @@ def _fit_result(h, ell, labels, removed, optimal) -> PartitionFit:
         tuple(v for v in range(h.n) if labels[v] == p) for p in range(ell)
     )
     subset = tuple(v for v in range(h.n) if labels[v] != OUT)
-    assert removed == _removed_count(h, labels)
+    recount = _removed_count(h, labels)
+    if removed != recount:
+        raise RuntimeError(
+            f"partition fit kept {removed} removals but the labels remove {recount}"
+        )
     return PartitionFit(subset, parts, removed, optimal)
 
 
@@ -149,10 +153,7 @@ def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, seed: int):
     n = h.n
     allow_out = n > cap
     order = sorted(range(n), key=lambda v: (-h.degrees[v], v))
-    incident = [[] for _ in range(n)]
-    for i, e in enumerate(h.edges):
-        for v in e:
-            incident[v].append(i)
+    incident = h.incidence
     edge_verts = h.edges
 
     best_labels, best = _fit_heuristic(h, ell, cap, seed, restarts=4)
@@ -210,6 +211,11 @@ def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, seed: int):
 def _fit_heuristic(h: Hypergraph, ell: int, cap: int, seed: int, restarts: int):
     n = h.n
     rng = random.Random(seed)
+    # links[v] = the other vertices of each edge through v
+    links = [
+        [tuple(u for u in h.edges[i] if u != v) for i in h.incidence[v]]
+        for v in range(n)
+    ]
     best_labels = None
     best = len(h.edges) + 1
     base_order = sorted(range(n), key=lambda v: (-h.degrees[v], v))
@@ -220,61 +226,62 @@ def _fit_heuristic(h: Hypergraph, ell: int, cap: int, seed: int, restarts: int):
         labels = [OUT] * n
         in_count = 0
         for v in order:
-            options = list(range(ell)) if in_count < cap else []
-            if not options:
+            if in_count >= cap:
                 continue
-            scores = []
-            for p in options:
-                labels[v] = p
-                scores.append((_local_cost(h, labels, v), p))
-                labels[v] = OUT
-            _, p = min(scores)
-            labels[v] = p
+            costs = _local_cost(links[v], labels, ell, out_breaks=False)
+            labels[v] = costs.index(min(costs))
             in_count += 1
-        labels = _local_search(h, labels, ell, cap)
-        removed = _removed_count(h, labels)
+        labels, removed = _local_search(h, links, labels, ell, cap)
         if removed < best:
             best = removed
             best_labels = labels
     return best_labels, best
 
 
-def _local_cost(h: Hypergraph, labels, v) -> int:
-    cost = 0
-    for e in h.edges:
-        if v not in e:
-            continue
-        got = [labels[u] for u in e]
-        assigned = [g for g in got if g != OUT]
-        if len(set(assigned)) != len(assigned):
-            cost += 1
-    return cost
+def _local_cost(links_v, labels, ell, out_breaks) -> list[int]:
+    """costs[p] = edges through v left non-transversal if v takes part p,
+    given the labels of their other vertices. An OUT neighbour breaks the
+    edge when `out_breaks`, and is ignored (not yet placed) otherwise."""
+    broken = 0
+    costs = [0] * ell
+    for others in links_v:
+        got = [labels[u] for u in others]
+        if OUT in got:
+            if out_breaks:
+                broken += 1
+                continue
+            got = [g for g in got if g != OUT]
+        if len(set(got)) != len(got):
+            broken += 1
+        else:
+            for g in got:
+                costs[g] += 1
+    return [broken + c for c in costs]
 
 
-def _local_search(h: Hypergraph, labels, ell, cap):
-    labels = labels.copy()
+def _local_search(h: Hypergraph, links, labels, ell, cap):
+    """Single-vertex moves into a part, first improvement in vertex and part
+    order, until none helps. Each move is scored by its change over the
+    edges through the vertex; returns the labels and their removals."""
     current = _removed_count(h, labels)
+    in_count = sum(1 for p in labels if p != OUT)
     improved = True
     while improved:
         improved = False
         for v in range(h.n):
             original = labels[v]
+            if original == OUT and in_count >= cap:
+                continue
+            costs = _local_cost(links[v], labels, ell, out_breaks=True)
+            cost = len(links[v]) if original == OUT else costs[original]
             for p in range(ell):
-                if p == original:
-                    continue
-                labels[v] = p
-                if sum(1 for u in range(h.n) if labels[u] != OUT) > cap:
-                    labels[v] = original
-                    continue
-                candidate = _removed_count(h, labels)
-                if candidate < current:
-                    current = candidate
-                    original = p
+                if costs[p] < cost:
+                    current += costs[p] - cost
+                    cost = costs[p]
+                    in_count += original == OUT
+                    original = labels[v] = p
                     improved = True
-                else:
-                    labels[v] = original
-            labels[v] = original
-    return labels
+    return labels, current
 
 
 def brute_force_partition_fit(h: Hypergraph, ell: int, cap: int) -> int:

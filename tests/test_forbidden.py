@@ -1,10 +1,13 @@
-"""Forbidden-family detection: both cancellative detectors, clique-expansion
-cores, and the incremental checker used by the enumeration engines."""
+"""Forbidden-family detection: the indexed cancellative detector against its
+triple-scan oracle, clique-expansion cores, and the incremental checker used
+by the enumeration engines."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import (
     Cancellative,
@@ -20,6 +23,7 @@ from shadowlab import (
 from shadowlab.errors import ParameterError
 from shadowlab.forbidden import (
     IncrementalFreeChecker,
+    brute_force_cancellative_violation,
     brute_force_clique_expansion,
     violation,
 )
@@ -47,26 +51,41 @@ class TestCancellative:
         h = Hypergraph.build(3, 4, [(0, 1, 2), (0, 1, 3)])
         assert find_cancellative_violation(h) is None
 
-    def test_unknown_detector(self, t6):
-        with pytest.raises(ParameterError):
-            find_cancellative_violation(t6, method="colex")
-
     def test_detectors_agree_exhaustively_n5(self):
         """All 2^10 labeled 3-graphs on 5 vertices."""
         for bits in range(1 << len(ALL_TRIPLES_N5)):
             edges = [e for i, e in enumerate(ALL_TRIPLES_N5) if bits >> i & 1]
             h = Hypergraph.build(3, 5, edges)
-            t = find_cancellative_violation(h, "triple")
-            u = find_cancellative_violation(h, "union")
-            assert (t is None) == (u is None)
+            assert find_cancellative_violation(h) == brute_force_cancellative_violation(h)
 
     def test_detectors_agree_on_random_n7(self):
         rng = random.Random(0)
         for _ in range(2000):
             h = random_hypergraph(rng, rng.randint(3, 7))
-            t = find_cancellative_violation(h, "triple")
-            u = find_cancellative_violation(h, "union")
-            assert (t is None) == (u is None)
+            assert find_cancellative_violation(h) == brute_force_cancellative_violation(h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_witness_matches_oracle(self, data):
+        """r in 1..4, with empty graphs, isolated vertices and m <= 2."""
+        r = data.draw(st.integers(1, 4), label="r")
+        n = data.draw(st.integers(0, 9), label="n")
+        candidates = list(itertools.combinations(range(n), r))
+        edges = data.draw(
+            st.lists(st.sampled_from(candidates), unique=True, max_size=16)
+            if candidates
+            else st.just([]),
+            label="edges",
+        )
+        h = Hypergraph.build(r, n, edges)
+        assert find_cancellative_violation(h) == brute_force_cancellative_violation(h)
+
+    def test_witness_matches_oracle_on_perturbed_turan(self):
+        base = turan(12, 3, 3)[0]
+        for extra in [(0, 3, 6), (1, 2, 4), (1, 9, 10), (2, 5, 11)]:
+            h = Hypergraph.build(3, 12, base.edges + (extra,))
+            w = find_cancellative_violation(h)
+            assert w is not None and w == brute_force_cancellative_violation(h)
 
     def test_witness_spans_at_most_2r_minus_1(self):
         rng = random.Random(1)

@@ -1,9 +1,12 @@
 """Partition fitting, dense-core extraction, and stability certificates."""
 
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import (
     Cancellative,
@@ -26,6 +29,27 @@ from shadowlab.stability import (
     partition_fit,
     stability_certificate,
 )
+
+
+def removed_by_labels(h, labels):
+    """Edges not transversal in the labelling (label None = left out)."""
+    removed = 0
+    for e in h.edges:
+        got = [labels[v] for v in e]
+        if None in got or len(set(got)) != len(got):
+            removed += 1
+    return removed
+
+
+@st.composite
+def fit_instances(draw):
+    """Random 3-graphs on up to 12 vertices with a cap that may leave
+    vertices out."""
+    n = draw(st.integers(3, 12))
+    candidates = list(itertools.combinations(range(n), 3))
+    edges = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=30))
+    cap = draw(st.integers(0, n))
+    return Hypergraph.build(3, n, edges), cap, draw(st.integers(0, 2 ** 16))
 
 
 def t6_plus_intra_part_edge():
@@ -78,6 +102,26 @@ class TestPartitionFit:
             assert partition_fit(h, ell, cap).removed == brute_force_partition_fit(
                 h, ell, cap
             )
+
+    @settings(max_examples=120, deadline=None)
+    @given(fit_instances())
+    def test_heuristic_is_local_optimum(self, instance):
+        """No single-vertex move within the cap removes fewer edges."""
+        h, cap, seed = instance
+        fit = partition_fit(h, 3, cap, mode="heuristic", seed=seed)
+        labels = [None] * h.n
+        for p, part in enumerate(fit.parts):
+            for v in part:
+                labels[v] = p
+        assert len(fit.subset) <= cap
+        assert fit.removed == removed_by_labels(h, labels)
+        for v in range(h.n):
+            for p in (0, 1, 2, None):
+                moved = labels.copy()
+                moved[v] = p
+                if sum(q is not None for q in moved) > cap:
+                    continue
+                assert removed_by_labels(h, moved) >= fit.removed
 
     def test_zero_removed_iff_multipartite_subgraph(self, t6):
         fit = partition_fit(t6, 3, 6)
