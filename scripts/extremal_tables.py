@@ -38,13 +38,13 @@ def main() -> None:
             result = extremal_search(n, 3, family)
             dt = time.perf_counter() - t0
             reference = turan(n, ell, 3)[0]
-            hits_turan = canonical_form(reference).key in result.extremal_forms
+            hits_turan = canonical_form(reference) in result.extremal_forms
             print(f"{family!s:>14} {n:>3} {result.max_edges:>4} "
                   f"{str(result.unique):>7} {result.count_searched:>9} "
                   f"{str(hits_turan):>7} {dt:>7.2f}")
             if args.write_caches and n <= 6:
                 forms = [
-                    canonical_form(h).key
+                    canonical_form(h)
                     for h in enumerate_free_classes(n, 3, family)
                 ]
                 write_class_cache(cache_name(n, 3, str(family), "orderly"), forms)

@@ -237,7 +237,10 @@ def concentration_bound(
         )
     small = sum(1 for v in values if v <= mean - delta1)
     bound = delta2 / (delta1 + delta2) * len(values)
-    assert small <= bound + TOLERANCE
+    if small > bound + TOLERANCE:
+        raise RuntimeError(
+            f"low tail of {small} values exceeds its guaranteed cap {bound}"
+        )
     return bound, small
 
 

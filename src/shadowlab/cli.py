@@ -5,8 +5,7 @@ inequality or certificate failed, 2 usage or parse error, 3 resource budget
 exceeded. A report is written on exits 0 and 1.
 
 Edge-list files are 0-based even though the literature writes [n] 1-based;
-conversion is the parser's job. SHADOWLAB_THREADS caps the worker count
-(the current engines are single-threaded, which respects any cap).
+conversion is the parser's job.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -45,19 +43,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def max_workers() -> int:
-    raw = os.environ.get("SHADOWLAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(f"SHADOWLAB_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ParameterError(f"SHADOWLAB_THREADS must be >= 1, got {value}")
-    return value
-
-
 def parse(document: str) -> Hypergraph:
-    """Parse an edge-list document: header 'r n', one edge per line."""
+    """Parse an edge-list document: header 'r n', one edge per line.
+
+    Every edge is checked here, with its line number, so the checked and
+    sorted list goes to the trusted `Hypergraph` constructor."""
     header: Optional[tuple[int, int]] = None
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -92,7 +82,8 @@ def parse(document: str) -> Hypergraph:
         edges.append(edge)
     if header is None:
         raise EdgeListParseError(1, "missing 'r n' header")
-    return Hypergraph.build(header[0], header[1], edges)
+    edges.sort()
+    return Hypergraph(header[0], header[1], tuple(edges))
 
 
 def serialize(h: Hypergraph) -> str:
@@ -369,7 +360,6 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     t0 = time.monotonic()
     try:
-        max_workers()  # validate the env var early
         if args.subcommand == "revalidate":
             return _cmd_revalidate(args)
         code, digest, results = _HANDLERS[args.subcommand](args)

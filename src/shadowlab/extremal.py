@@ -14,25 +14,17 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bounds import TOLERANCE, cancellative_bound, expansion_bound, falling_binomial, solve_binomial_x
 from .errors import ParameterError, ResourceBudgetError
-from .forbidden import Family, IncrementalFreeChecker
+from .forbidden import Family, IncrementalFreeChecker, is_free
 from .hypercore import Hypergraph
 
 NAIVE_EDGE_BUDGET = 24      # naive engine requires C(n, r) <= this
 ORDERLY_VERTEX_BUDGET = 8   # orderly engine requires n <= this
 PERMUTATION_BUDGET = 1_000_000
 CANONICAL_VERTEX_CAP = 12
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """A canonical byte string per isomorphism class: the minimum over
-    admissible vertex orderings of the relabeled, sorted edge list."""
-
-    key: bytes
 
 
 @dataclass(frozen=True)
@@ -87,8 +79,10 @@ def _refine_colors(h: Hypergraph) -> list[int]:
         colors = new
 
 
-def canonical_form(h: Hypergraph, cap: int = CANONICAL_VERTEX_CAP) -> CanonicalForm:
-    """Permutation-minimal representation with color-refinement pruning."""
+def canonical_form(h: Hypergraph, cap: int = CANONICAL_VERTEX_CAP) -> bytes:
+    """A canonical byte string per isomorphism class: the minimum over
+    admissible vertex orderings of the relabeled, sorted edge list, with
+    color-refinement pruning."""
     if h.n > cap:
         raise ResourceBudgetError(f"canonical_form capped at n <= {cap}, got {h.n}")
     colors = _refine_colors(h)
@@ -115,7 +109,7 @@ def canonical_form(h: Hypergraph, cap: int = CANONICAL_VERTEX_CAP) -> CanonicalF
         if best is None or candidate < best:
             best = candidate
     payload = ";".join(",".join(map(str, e)) for e in best or ())
-    return CanonicalForm(f"{h.r}/{h.n}:{payload}".encode())
+    return f"{h.r}/{h.n}:{payload}".encode()
 
 
 def are_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
@@ -191,29 +185,47 @@ def _stats(engine: str, counts: dict[int, int]) -> EnumerationStats:
 
 
 def _iter_free_edge_sets(
-    n: int, r: int, family: Optional[Family]
-) -> Iterable[tuple[tuple[int, ...], ...]]:
+    n: int,
+    r: int,
+    family: Optional[Family],
+    on_push: Optional[Callable[[int], None]] = None,
+    on_pop: Optional[Callable[[int], None]] = None,
+) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Labeled DFS: extend by candidate edges of larger index only, prune on
-    violation (freeness is monotone under edge removal)."""
+    violation (freeness is monotone under edge removal). Yields every free
+    edge set once, in preorder. `on_push(t)` and `on_pop(t)` are called with
+    the candidate index t as an edge joins or leaves the current set."""
     candidates = _candidate_edges(n, r)
+    total = len(candidates)
     checker = IncrementalFreeChecker(n, r, family) if family is not None else None
     masks = [sum(1 << v for v in e) for e in candidates]
-    stack: list[tuple[int, ...]] = []
-
-    def rec(pos: int):
-        yield tuple(stack)
-        for t in range(pos, len(candidates)):
-            if checker is not None and checker.would_violate(masks[t]):
-                continue
+    edges: list[tuple[int, ...]] = []
+    picked: list[int] = []  # candidate index of each edge in `edges`
+    t = 0  # next candidate to try at the current depth
+    yield ()
+    while True:
+        if checker is not None:
+            while t < total and checker.would_violate(masks[t]):
+                t += 1
+        if t < total:
             if checker is not None:
                 checker.push(masks[t])
-            stack.append(candidates[t])
-            yield from rec(t + 1)
-            stack.pop()
+            if on_push is not None:
+                on_push(t)
+            edges.append(candidates[t])
+            picked.append(t)
+            yield tuple(edges)
+            t += 1
+        elif picked:
+            t = picked.pop()
+            edges.pop()
+            if on_pop is not None:
+                on_pop(t)
             if checker is not None:
                 checker.pop()
-
-    yield from rec(0)
+            t += 1
+        else:
+            return
 
 
 def enumerate_free_classes(
@@ -224,7 +236,7 @@ def enumerate_free_classes(
     (edge count, canonical key)."""
     empty = Hypergraph(r, n, ())
     out = [empty]
-    level = {canonical_form(empty).key: empty}
+    level = {canonical_form(empty): empty}
     candidates = _candidate_edges(n, r)
     while level:
         next_level: dict[bytes, Hypergraph] = {}
@@ -234,24 +246,15 @@ def enumerate_free_classes(
                 if e in have:
                     continue
                 child = Hypergraph(r, n, tuple(sorted(have | {e})))
-                if family is not None and not _free_quick(child, family):
+                if family is not None and not is_free(child, family):
                     continue
-                key = canonical_form(child).key
+                key = canonical_form(child)
                 if key not in next_level:
                     next_level[key] = child
         for key in sorted(next_level):
             out.append(next_level[key])
         level = next_level
     return out
-
-
-def _free_quick(h: Hypergraph, family: Family) -> bool:
-    checker = IncrementalFreeChecker(h.n, h.r, family)
-    for m in h.edge_masks:
-        if checker.would_violate(m):
-            return False
-        checker.push(m)
-    return True
 
 
 def extremal_search(n: int, r: int, family: Family) -> ExtremalResult:
@@ -270,7 +273,7 @@ def extremal_search(n: int, r: int, family: Family) -> ExtremalResult:
     forms: dict[bytes, Hypergraph] = {}
     for edges in best_sets:
         h = Hypergraph(r, n, edges)
-        forms.setdefault(canonical_form(h).key, h)
+        forms.setdefault(canonical_form(h), h)
     keys = tuple(sorted(forms))
     return ExtremalResult(
         n, r, str(family), best, keys, visited, len(keys) == 1,
@@ -286,13 +289,10 @@ def verify_bound_over_enumeration(
     ell: Optional[int] = None,
 ) -> SweepReport:
     """Evaluate the named bound on every family-free graph; report the worst
-    slack and any violations (expected none). Mask-level sweep with an
-    incrementally maintained shadow size for speed."""
+    slack and any violations (expected none). The shadow size is kept up to
+    date by the DFS hooks as edges join and leave."""
     _check_naive_budget(n, r)
-    candidates = _candidate_edges(n, r)
-    subsets = [tuple(itertools.combinations(e, r - 1)) for e in candidates]
-    masks = [sum(1 << v for v in e) for e in candidates]
-    checker = IncrementalFreeChecker(n, r, family) if family is not None else None
+    subsets = [tuple(itertools.combinations(e, r - 1)) for e in _candidate_edges(n, r)]
 
     bound_cache: dict[int, float] = {}
 
@@ -312,48 +312,36 @@ def verify_bound_over_enumeration(
 
     coverage: dict[tuple[int, ...], int] = {}
     shadow_size = 0
-    stack: list[int] = []
+
+    def on_push(t: int) -> None:
+        nonlocal shadow_size
+        for sub in subsets[t]:
+            c = coverage.get(sub, 0)
+            coverage[sub] = c + 1
+            if c == 0:
+                shadow_size += 1
+
+    def on_pop(t: int) -> None:
+        nonlocal shadow_size
+        for sub in subsets[t]:
+            coverage[sub] -= 1
+            if coverage[sub] == 0:
+                shadow_size -= 1
+
     visited = 0
     violations: list[tuple[tuple[int, ...], ...]] = []
     min_slack = math.inf
     argmin: tuple[tuple[int, ...], ...] = ()
-
-    def visit():
-        nonlocal visited, min_slack, argmin
+    for edges in _iter_free_edge_sets(n, r, family, on_push, on_pop):
         visited += 1
-        if not stack:
-            return
-        slack = bound_for(shadow_size) - len(stack)
+        if not edges:
+            continue
+        slack = bound_for(shadow_size) - len(edges)
         if slack < -TOLERANCE:
-            violations.append(tuple(candidates[i] for i in stack))
+            violations.append(edges)
         if slack < min_slack:
             min_slack = slack
-            argmin = tuple(candidates[i] for i in stack)
-
-    def rec(pos: int):
-        nonlocal shadow_size
-        visit()
-        for t in range(pos, len(candidates)):
-            if checker is not None and checker.would_violate(masks[t]):
-                continue
-            if checker is not None:
-                checker.push(masks[t])
-            for sub in subsets[t]:
-                c = coverage.get(sub, 0)
-                coverage[sub] = c + 1
-                if c == 0:
-                    shadow_size += 1
-            stack.append(t)
-            rec(t + 1)
-            stack.pop()
-            for sub in subsets[t]:
-                coverage[sub] -= 1
-                if coverage[sub] == 0:
-                    shadow_size -= 1
-            if checker is not None:
-                checker.pop()
-
-    rec(0)
+            argmin = edges
     return SweepReport(
         n, r, str(family) if family is not None else "none", bound_kind,
         visited, tuple(violations), min_slack, argmin,

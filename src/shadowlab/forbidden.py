@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ParameterError
-from .hypercore import Hypergraph, mask_to_tuple
+from .hypercore import Hypergraph, first_clique, mask_to_tuple
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def find_clique_expansion(h: Hypergraph, ell: int) -> Optional[Witness]:
     is the lexicographically least 2-covered (ell+1)-set."""
     if ell < h.r:
         raise ParameterError(f"ell must be >= r={h.r}, got {ell}")
-    core = _first_clique(h, ell + 1)
+    core = first_clique(h.pair_adjacency, (), (1 << h.n) - 1, ell + 1)
     if core is None:
         return None
     covering = []
@@ -131,28 +131,6 @@ def find_clique_expansion(h: Hypergraph, ell: int) -> Optional[Witness]:
         )
         covering.append(((u, v), edge))
     return Witness("covered-clique", core=core, covering=tuple(covering))
-
-
-def _first_clique(h: Hypergraph, size: int) -> Optional[tuple[int, ...]]:
-    adj = h.pair_adjacency
-
-    def extend(clique: tuple[int, ...], cand: int) -> Optional[tuple[int, ...]]:
-        if len(clique) == size:
-            return clique
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            got = extend(clique + (v,), cand & adj[v] & ~((1 << (v + 1)) - 1))
-            if got is not None:
-                return got
-        return None
-
-    for v in range(h.n):
-        got = extend((v,), adj[v] & ~((1 << (v + 1)) - 1))
-        if got is not None:
-            return got
-    return None
 
 
 def brute_force_clique_expansion(h: Hypergraph, ell: int) -> Optional[tuple[int, ...]]:
@@ -191,6 +169,8 @@ class IncrementalFreeChecker:
         self.family = family
         self.masks: list[int] = []
         if isinstance(family, Expansion):
+            if family.ell < r:
+                raise ParameterError(f"ell must be >= r={r}, got {family.ell}")
             self.adj = [0] * n
 
     def would_violate(self, mask: int) -> bool:
@@ -216,29 +196,16 @@ class IncrementalFreeChecker:
         return False
 
     def _expansion_hit(self, t: int) -> bool:
-        ell = self.family.ell
+        size = self.family.ell + 1
         verts = mask_to_tuple(t)
         adj = [a for a in self.adj]
         for i, u in enumerate(verts):
             for v in verts[i + 1:]:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-
-        def extend(k: int, cand: int) -> bool:
-            # Looks for a clique of size ell+1 through a vertex of t.
-            if k == ell + 1:
-                return True
-            c = cand
-            while c:
-                v = (c & -c).bit_length() - 1
-                c &= c - 1
-                if extend(k + 1, cand & adj[v] & ~((1 << (v + 1)) - 1)):
-                    return True
-            return False
-
-        full = (1 << self.n) - 1
+        # A new clique of size ell+1 must run through a vertex of t.
         for u in verts:
-            if extend(1, adj[u] & full & ~(1 << u)):
+            if first_clique(adj, (u,), adj[u], size) is not None:
                 return True
         return False
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EmptyInputError, ParameterError
 
@@ -43,6 +43,10 @@ class Hypergraph:
     Invariants: every edge has exactly r distinct vertices below n,
     there are no duplicate edges, and `edges` is sorted lexicographically.
     Instances are immutable; all operations on them are pure functions.
+
+    The constructor is the trusted path: it checks nothing, so only code
+    that already guarantees the invariants calls it. Outside input goes
+    through `build` or `cli.parse`, which check every edge.
     """
 
     r: int
@@ -237,6 +241,28 @@ def clique_set(h: Hypergraph, kmax: int) -> CliqueSet:
         for v in range(h.n):
             extend((v,), adj[v] & above[v])
     return CliqueSet(kmax, tuple(tuple(g) for g in by_size))
+
+
+def first_clique(
+    adj: Sequence[int], clique: tuple[int, ...], cand: int, size: int
+) -> Optional[tuple[int, ...]]:
+    """The least clique of `size` vertices grown from `clique` by vertices of
+    the bitmask `cand`, each new vertex above the last, in the graph whose
+    adjacency bitmasks are `adj`; None if there is none. Needs
+    size > len(clique). A branch stops once fewer candidates are left than
+    vertices are still needed."""
+    need = size - len(clique)
+    c = cand
+    while c.bit_count() >= need:
+        v = (c & -c).bit_length() - 1
+        c &= c - 1
+        grown = clique + (v,)
+        if need == 1:
+            return grown
+        got = first_clique(adj, grown, cand & adj[v] & ~((1 << (v + 1)) - 1), size)
+        if got is not None:
+            return got
+    return None
 
 
 def z_value(h: Hypergraph, ell: int) -> ZValue:

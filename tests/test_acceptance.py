@@ -87,18 +87,18 @@ def test_criterion_03_exhaustive_cancellative_bound():
 def test_criterion_04_expansion_extremal_numbers(t6):
     r5 = extremal_search(5, 3, Expansion(3))
     assert r5.max_edges == 4 and r5.unique
-    assert r5.extremal_forms == (canonical_form(turan(5, 3, 3)[0]).key,)
+    assert r5.extremal_forms == (canonical_form(turan(5, 3, 3)[0]),)
 
     r6 = extremal_search(6, 3, Expansion(3))
     assert r6.max_edges == 8 and r6.unique
-    assert r6.extremal_forms == (canonical_form(t6).key,)
+    assert r6.extremal_forms == (canonical_form(t6),)
     passed(4, "max 4 unique on 5 vertices, max 8 unique on 6, both the 3-partite graph")
 
 
 def test_criterion_05_cancellative_extremal_number(t6):
     result = extremal_search(6, 3, Cancellative())
     assert result.max_edges == 8
-    assert canonical_form(t6).key in result.extremal_forms
+    assert canonical_form(t6) in result.extremal_forms
     passed(5, f"max 8 on 6 vertices, attained by the balanced 3-partite graph")
 
 
@@ -203,10 +203,10 @@ def test_criterion_11_oracle_equivalences():
             naive = set()
             enumerate_free(
                 n, 3, family,
-                visitor=lambda h: naive.add(canonical_form(h).key),
+                visitor=lambda h: naive.add(canonical_form(h)),
             )
             orderly = {
-                canonical_form(h).key
+                canonical_form(h)
                 for h in enumerate_free_classes(n, 3, family)
             }
             assert naive == orderly, (n, family)

@@ -1,16 +1,18 @@
 """CLI surface: edge-list format, reports, exit codes, revalidation."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shadowlab import turan
+from shadowlab import Hypergraph, turan
 from shadowlab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
-    max_workers,
     parse,
     run,
     serialize,
@@ -65,6 +67,21 @@ class TestEdgeListFormat:
     def test_serialize_parse_identity_on_constructions(self, t6, k4):
         for h in (t6, k4):
             assert parse(serialize(h)) == h
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_shuffled_lines_parse_like_build(self, data):
+        r = data.draw(st.integers(1, 4), label="r")
+        n = data.draw(st.integers(0, 8), label="n")
+        candidates = list(itertools.combinations(range(n), r))
+        edges = data.draw(
+            st.lists(st.sampled_from(candidates), unique=True) if candidates else st.just([]),
+            label="edges",
+        )
+        lines = [" ".join(map(str, data.draw(st.permutations(e)))) for e in edges]
+        lines = data.draw(st.permutations(lines), label="lines")
+        h = parse("".join(f"{line}\n" for line in [f"{r} {n}", *lines]))
+        assert h == Hypergraph.build(r, n, edges)
 
 
 class TestCommands:
@@ -169,21 +186,6 @@ class TestExitCodes:
     def test_expansion_requires_l(self, tmp_path):
         hg = write_turan(tmp_path / "t.hg")
         assert run(["check", "--input", hg, "--family", "expansion"]) == EXIT_USAGE
-
-
-class TestEnvironment:
-    def test_threads_default(self, monkeypatch):
-        monkeypatch.delenv("SHADOWLAB_THREADS", raising=False)
-        assert max_workers() == 1
-
-    def test_threads_override(self, monkeypatch):
-        monkeypatch.setenv("SHADOWLAB_THREADS", "4")
-        assert max_workers() == 4
-
-    def test_threads_invalid(self, monkeypatch, tmp_path):
-        hg = write_turan(tmp_path / "t.hg")
-        monkeypatch.setenv("SHADOWLAB_THREADS", "zero")
-        assert run(["shadow", "--input", hg]) == EXIT_USAGE
 
 
 class TestDeterminismAndRevalidate:

@@ -5,9 +5,17 @@ import random
 
 import pytest
 
-from shadowlab import Cancellative, Expansion, Hypergraph, complete, fano, turan
+from shadowlab import Cancellative, Expansion, Hypergraph, complete, fano, shadow, turan
+from shadowlab.bounds import (
+    TOLERANCE,
+    cancellative_bound,
+    expansion_bound,
+    falling_binomial,
+    solve_binomial_x,
+)
 from shadowlab.errors import ResourceBudgetError
 from shadowlab.extremal import (
+    _iter_free_edge_sets,
     are_isomorphic,
     cache_name,
     canonical_form,
@@ -47,7 +55,7 @@ class TestCanonicalForm:
         for bits in range(16):
             edges = [e for i, e in enumerate(candidates) if bits >> i & 1]
             graphs.append(Hypergraph.build(3, 4, edges))
-        keys = {canonical_form(h).key for h in graphs}
+        keys = {canonical_form(h) for h in graphs}
         reps = []
         for h in graphs:
             if not any(permutation_isomorphism_oracle(h, r) for r in reps):
@@ -98,10 +106,10 @@ class TestEnumeration:
     def test_engines_agree(self, n, family):
         naive_keys = set()
         enumerate_free(
-            n, 3, family, visitor=lambda h: naive_keys.add(canonical_form(h).key)
+            n, 3, family, visitor=lambda h: naive_keys.add(canonical_form(h))
         )
         orderly_keys = {
-            canonical_form(h).key for h in enumerate_free_classes(n, 3, family)
+            canonical_form(h) for h in enumerate_free_classes(n, 3, family)
         }
         assert naive_keys == orderly_keys
 
@@ -110,7 +118,7 @@ class TestEnumeration:
 
         reps = enumerate_free_classes(5, 3, Cancellative())
         assert all(is_free(h, Cancellative()) for h in reps)
-        keys = [canonical_form(h).key for h in reps]
+        keys = [canonical_form(h) for h in reps]
         assert len(keys) == len(set(keys))
 
 
@@ -118,7 +126,7 @@ class TestExtremalSearch:
     def test_expansion_unique_turan(self, t6):
         result = extremal_search(6, 3, Expansion(3))
         assert result.max_edges == 8 and result.unique
-        assert result.extremal_forms == (canonical_form(t6).key,)
+        assert result.extremal_forms == (canonical_form(t6),)
 
     def test_cancellative_small(self):
         assert extremal_search(5, 3, Cancellative()).max_edges == 4
@@ -152,6 +160,35 @@ class TestBoundSweeps:
         report = verify_bound_over_enumeration(4, 3, Cancellative(), "thm3")
         assert report.argmin_edges  # some nonempty graph attains the minimum
 
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["thm1", "thm3", "thm6"])
+    def test_incremental_shadow_matches_recomputation(self, kind, n, r):
+        """The sweep's hook-kept shadow size gives the same report as
+        len(shadow(h)) recomputed for every graph the DFS yields."""
+        ell = r + 1 if kind == "thm6" else None
+        family = {"thm1": None, "thm3": Cancellative(), "thm6": Expansion(ell)}[kind]
+        bound = {
+            "thm1": lambda s: falling_binomial(solve_binomial_x(s, r - 1), r),
+            "thm3": lambda s: cancellative_bound(s, r)[1],
+            "thm6": lambda s: expansion_bound(s, ell, r)[1],
+        }[kind]
+        visited, violations, min_slack, argmin = 0, [], float("inf"), ()
+        for edges in _iter_free_edge_sets(n, r, family):
+            visited += 1
+            if not edges:
+                continue
+            slack = bound(len(shadow(Hypergraph(r, n, edges)))) - len(edges)
+            if slack < -TOLERANCE:
+                violations.append(edges)
+            if slack < min_slack:
+                min_slack, argmin = slack, edges
+        report = verify_bound_over_enumeration(n, r, family, kind, ell)
+        assert report.visited == visited
+        assert report.violations == tuple(violations)
+        assert report.min_slack == min_slack
+        assert report.argmin_edges == argmin
+
 
 class TestRandomFree:
     @pytest.mark.parametrize("family", [Cancellative(), Expansion(3)])
@@ -171,7 +208,7 @@ class TestRandomFree:
 
 class TestCache:
     def test_round_trip(self, tmp_path):
-        forms = [canonical_form(h).key for h in enumerate_free_classes(4, 3, None)]
+        forms = [canonical_form(h) for h in enumerate_free_classes(4, 3, None)]
         path = tmp_path / cache_name(4, 3, "none", "orderly")
         write_class_cache(path, forms)
         assert read_class_cache(path) == tuple(sorted(forms))

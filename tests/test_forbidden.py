@@ -193,3 +193,7 @@ class TestIncrementalChecker:
             checker.pop()
         assert checker.would_violate(probe) == before
         assert checker.adj == [0] * 6
+
+    def test_ell_below_r_rejected(self):
+        with pytest.raises(ParameterError):
+            IncrementalFreeChecker(6, 3, Expansion(2))
