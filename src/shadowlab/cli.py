@@ -222,8 +222,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags each construct family reads.
+_CONSTRUCT_FLAGS = {
+    "complete": ("n", "r"),
+    "turan": ("n", "l", "r"),
+    "turan_padded": ("n", "m", "l", "r"),
+    "expansion": ("l", "r"),
+    "fano": (),
+}
+
+
 def _cmd_construct(args) -> tuple[int, Optional[str], list]:
     fam = args.family
+    missing = [f"--{k}" for k in _CONSTRUCT_FLAGS[fam] if getattr(args, k) is None]
+    if missing:
+        raise ParameterError(f"--family {fam} requires {' '.join(missing)}")
     if fam == "complete":
         h = complete(args.n, args.r)
     elif fam == "turan":
@@ -370,7 +383,8 @@ def run(argv: list[str]) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
     except (ParameterError, DomainError, EmptyInputError, PreconditionError,
-            EdgeListParseError, FileNotFoundError, ShadowlabError) as exc:
+            EdgeListParseError, FileNotFoundError, IsADirectoryError,
+            UnicodeDecodeError, ShadowlabError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -6,6 +6,16 @@ detector indexes the edges by shared subsets; the plain triple scan stays as
 the oracle it is tested against. The clique-expansion family is
 detected through its core: the graph contains a member iff some (ell+1)-set
 is 2-covered.
+
+`IncrementalFreeChecker` keeps indexes of its edge stack, updated on each
+push and pop, so a call costs about the size of the new edge rather than of
+the stack. For the expansion family it counts the stored edges covering each
+vertex pair, and a pair leaves the adjacency when its count drops to 0; a
+new edge can only close an (ell+1)-clique through a pair it newly covers.
+For the cancellative family it counts the xors of all stored pairs and the
+even-size sub-masks of the stored edges: a new edge t is the C of a bad
+triple iff one of its even-size sub-masks is a stored xor, and a member of a
+bad pair (t, b) iff t ^ b is a stored sub-mask.
 """
 
 from __future__ import annotations
@@ -161,6 +171,10 @@ class IncrementalFreeChecker:
     `would_violate(mask)` answers whether adding the edge breaks freeness;
     `push`/`pop` keep the internal state in sync with the edge stack.
     Correctness rests on freeness being monotone under edge removal.
+
+    Precondition: only edges for which `would_violate` returned False are
+    pushed, so the stack is always free, and `would_violate(t)` is never
+    asked for a `t` already on the stack. The checks below rely on both.
     """
 
     def __init__(self, n: int, r: int, family: Family):
@@ -168,65 +182,115 @@ class IncrementalFreeChecker:
         self.r = r
         self.family = family
         self.masks: list[int] = []
+        # mask -> its pairs u < v as (u, v, 1 << u, 1 << v, u * n + v)
+        # (expansion) or its even-size sub-masks (cancellative), built once
+        # per mask.
+        self._parts: dict[int, tuple] = {}
         if isinstance(family, Expansion):
             if family.ell < r:
                 raise ParameterError(f"ell must be >= r={r}, got {family.ell}")
             self.adj = [0] * n
+            # cover[u * n + v]: stored edges containing the pair u < v.
+            self.cover = [0] * (n * n)
+        else:
+            # Counts of the xors of all stored pairs, and of the even-size
+            # sub-masks of the stored edges.
+            self.xors: dict[int, int] = {}
+            self.inside: dict[int, int] = {}
+
+    def _parts_of(self, mask: int) -> tuple:
+        parts = self._parts.get(mask)
+        if parts is None:
+            verts = mask_to_tuple(mask)
+            if isinstance(self.family, Expansion):
+                parts = tuple(
+                    (u, v, 1 << u, 1 << v, u * self.n + v)
+                    for u, v in itertools.combinations(verts, 2)
+                )
+            else:
+                bits = [1 << v for v in verts]
+                parts = tuple(
+                    sum(sub)
+                    for size in range(2, self.r + 1, 2)
+                    for sub in itertools.combinations(bits, size)
+                )
+            self._parts[mask] = parts
+        return parts
 
     def would_violate(self, mask: int) -> bool:
+        parts = self._parts_of(mask)
         if isinstance(self.family, Cancellative):
-            return self._cancellative_hit(mask)
-        return self._expansion_hit(mask)
+            return self._cancellative_hit(mask, parts)
+        return self._expansion_hit(parts)
 
-    def _cancellative_hit(self, t: int) -> bool:
-        masks = self.masks
-        m = len(masks)
-        # t as the containing edge C of an existing pair.
-        for i in range(m):
-            mi = masks[i]
-            for j in range(i + 1, m):
-                if (mi ^ masks[j]) & ~t == 0:
-                    return True
-        # t as a member of the symmetric-difference pair.
-        for b in masks:
-            d = t ^ b
-            for c in masks:
-                if c != b and d & ~c == 0:
-                    return True
+    def _cancellative_hit(self, t: int, subs: tuple) -> bool:
+        # t as the containing edge C: a stored pair's xor is an even-size
+        # sub-mask of t.
+        xors = self.xors
+        for sub in subs:
+            if sub in xors:
+                return True
+        # t as a member of the pair (t, b): t ^ b inside some stored edge,
+        # which cannot be b itself since t != b have the same size.
+        inside = self.inside
+        for b in self.masks:
+            if t ^ b in inside:
+                return True
         return False
 
-    def _expansion_hit(self, t: int) -> bool:
+    def _expansion_hit(self, pairs: tuple) -> bool:
+        adj = self.adj
+        new = [p for p in pairs if not adj[p[0]] & p[3]]
+        if not new:
+            return False
+        adj = adj[:]
+        for u, v, bu, bv, _ in new:
+            adj[u] |= bv
+            adj[v] |= bu
+        # The stack is free, so a new (ell+1)-clique must use a new pair.
         size = self.family.ell + 1
-        verts = mask_to_tuple(t)
-        adj = [a for a in self.adj]
-        for i, u in enumerate(verts):
-            for v in verts[i + 1:]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        # A new clique of size ell+1 must run through a vertex of t.
-        for u in verts:
-            if first_clique(adj, (u,), adj[u], size) is not None:
+        for u, v, _, _, _ in new:
+            if first_clique(adj, (u, v), adj[u] & adj[v], size) is not None:
                 return True
         return False
 
     def push(self, mask: int) -> None:
-        self.masks.append(mask)
+        parts = self._parts_of(mask)
         if isinstance(self.family, Expansion):
-            verts = mask_to_tuple(mask)
-            for i, u in enumerate(verts):
-                for v in verts[i + 1:]:
-                    self.adj[u] |= 1 << v
-                    self.adj[v] |= 1 << u
+            adj, cover = self.adj, self.cover
+            for u, v, bu, bv, key in parts:
+                cover[key] += 1
+                adj[u] |= bv
+                adj[v] |= bu
+        else:
+            xors, inside = self.xors, self.inside
+            for b in self.masks:
+                x = mask ^ b
+                xors[x] = xors.get(x, 0) + 1
+            for sub in parts:
+                inside[sub] = inside.get(sub, 0) + 1
+        self.masks.append(mask)
 
     def pop(self) -> None:
         mask = self.masks.pop()
+        parts = self._parts[mask]
         if isinstance(self.family, Expansion):
-            verts = mask_to_tuple(mask)
-            for i, u in enumerate(verts):
-                for v in verts[i + 1:]:
-                    covered = any(
-                        m >> u & 1 and m >> v & 1 for m in self.masks
-                    )
-                    if not covered:
-                        self.adj[u] &= ~(1 << v)
-                        self.adj[v] &= ~(1 << u)
+            adj, cover = self.adj, self.cover
+            for u, v, bu, bv, key in parts:
+                cover[key] -= 1
+                if not cover[key]:
+                    adj[u] &= ~bv
+                    adj[v] &= ~bu
+        else:
+            xors, inside = self.xors, self.inside
+            for b in self.masks:
+                _discount(xors, mask ^ b)
+            for sub in parts:
+                _discount(inside, sub)
+
+
+def _discount(counts: dict[int, int], key: int) -> None:
+    if counts[key] == 1:
+        del counts[key]
+    else:
+        counts[key] -= 1

@@ -187,6 +187,26 @@ class TestExitCodes:
         hg = write_turan(tmp_path / "t.hg")
         assert run(["check", "--input", hg, "--family", "expansion"]) == EXIT_USAGE
 
+    def test_usage_error_on_directory_input(self, tmp_path):
+        assert run(["check", "--input", str(tmp_path),
+                    "--family", "cancellative"]) == EXIT_USAGE
+
+    def test_usage_error_on_non_utf8_input(self, tmp_path):
+        bad = tmp_path / "bad.hg"
+        bad.write_bytes(b"3 4\n0 1 \xff\n")
+        assert run(["check", "--input", str(bad),
+                    "--family", "cancellative"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags", [
+        ["--family", "turan", "--n", "6", "--r", "3"],
+        ["--family", "complete", "--n", "6"],
+        ["--family", "turan_padded", "--n", "6", "--l", "3", "--r", "3"],
+        ["--family", "expansion", "--l", "3"],
+    ])
+    def test_construct_missing_flag(self, flags, capsys):
+        assert run(["construct", *flags]) == EXIT_USAGE
+        assert "requires --" in capsys.readouterr().err
+
 
 class TestDeterminismAndRevalidate:
     def test_reports_identical_modulo_runtime(self, tmp_path):

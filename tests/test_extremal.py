@@ -160,6 +160,19 @@ class TestBoundSweeps:
         report = verify_bound_over_enumeration(4, 3, Cancellative(), "thm3")
         assert report.argmin_edges  # some nonempty graph attains the minimum
 
+    @pytest.mark.parametrize("kind, family, visited", [
+        ("thm3", Cancellative(), 4738),
+        ("thm6", Expansion(3), 4738),
+        ("thm6", Expansion(4), 110513),
+    ])
+    def test_labelled_counts_on_six_vertices(self, kind, family, visited):
+        """Labelled free 3-graphs on 6 vertices, as counted over the
+        isomorphism classes by orbit size in bench/test_bench.py."""
+        ell = getattr(family, "ell", None)
+        report = verify_bound_over_enumeration(6, 3, family, kind, ell)
+        assert report.visited == visited
+        assert report.violations == ()
+
     @pytest.mark.parametrize("r", [2, 3])
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("kind", ["thm1", "thm3", "thm6"])

@@ -182,17 +182,57 @@ class TestIncrementalChecker:
                     checker.push(m)
                     kept.append(e)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_oracles_under_push_and_pop(self, data):
+        """Driven as the DFS drives it: only non-violating edges are pushed,
+        never an edge already on the stack, with pops in between."""
+        r = data.draw(st.integers(1, 4), label="r")
+        n = data.draw(st.integers(0, 8), label="n")
+        family = data.draw(
+            st.sampled_from([Cancellative()] + [Expansion(ell) for ell in range(r, r + 3)]),
+            label="family",
+        )
+        candidates = list(itertools.combinations(range(n), r))
+        checker = IncrementalFreeChecker(n, r, family)
+        stack = []
+        for _ in range(data.draw(st.integers(0, 40), label="steps")):
+            fresh = [e for e in candidates if e not in stack]
+            if stack and (not fresh or data.draw(st.integers(0, 3), label="pop") == 0):
+                checker.pop()
+                stack.pop()
+                continue
+            if not fresh:
+                break
+            e = data.draw(st.sampled_from(fresh), label="edge")
+            m = sum(1 << v for v in e)
+            grown = Hypergraph.build(r, n, stack + [e])
+            hit = checker.would_violate(m)
+            assert hit == (not is_free(grown, family))
+            if isinstance(family, Cancellative):
+                assert hit == (brute_force_cancellative_violation(grown) is not None)
+            else:
+                assert hit == (brute_force_clique_expansion(grown, family.ell) is not None)
+            if not hit:
+                checker.push(m)
+                stack.append(e)
+
     def test_pop_restores_state(self):
-        family = Expansion(3)
-        checker = IncrementalFreeChecker(6, 3, family)
         probe = sum(1 << v for v in (0, 1, 2))
-        before = checker.would_violate(probe)
-        for e in [(0, 1, 3), (1, 2, 4), (0, 2, 5)]:
-            checker.push(sum(1 << v for v in e))
-        for _ in range(3):
-            checker.pop()
-        assert checker.would_violate(probe) == before
-        assert checker.adj == [0] * 6
+        for family in (Expansion(3), Cancellative()):
+            checker = IncrementalFreeChecker(6, 3, family)
+            before = checker.would_violate(probe)
+            for e in [(0, 1, 3), (1, 2, 4), (0, 2, 5)]:
+                m = sum(1 << v for v in e)
+                assert not checker.would_violate(m)
+                checker.push(m)
+            for _ in range(3):
+                checker.pop()
+            assert checker.would_violate(probe) == before
+            if isinstance(family, Expansion):
+                assert checker.adj == [0] * 6 and not any(checker.cover)
+            else:
+                assert checker.xors == {} and checker.inside == {}
 
     def test_ell_below_r_rejected(self):
         with pytest.raises(ParameterError):
