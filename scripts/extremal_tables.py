@@ -3,27 +3,19 @@
 
 Prints, for each family, the maximum number of edges of a free 3-graph on n
 vertices, whether the maximizer is unique up to isomorphism, and the total
-number of free graphs visited. Class caches can be written next to the
-script for reuse.
+number of free graphs visited.
 """
 
 import argparse
 import time
 
 from shadowlab import Cancellative, Expansion, turan
-from shadowlab.extremal import (
-    cache_name,
-    canonical_form,
-    enumerate_free_classes,
-    extremal_search,
-    write_class_cache,
-)
+from shadowlab.extremal import canonical_form, extremal_search
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=6)
-    parser.add_argument("--write-caches", action="store_true")
     args = parser.parse_args()
 
     families = [Cancellative(), Expansion(3), Expansion(4)]
@@ -42,12 +34,6 @@ def main() -> None:
             print(f"{family!s:>14} {n:>3} {result.max_edges:>4} "
                   f"{str(result.unique):>7} {result.count_searched:>9} "
                   f"{str(hits_turan):>7} {dt:>7.2f}")
-            if args.write_caches and n <= 6:
-                forms = [
-                    canonical_form(h)
-                    for h in enumerate_free_classes(n, 3, family)
-                ]
-                write_class_cache(cache_name(n, 3, str(family), "orderly"), forms)
 
 
 if __name__ == "__main__":

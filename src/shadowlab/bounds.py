@@ -12,9 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import DomainError, EmptyInputError, PreconditionError
-from .forbidden import find_cancellative_violation, find_clique_expansion
+from .forbidden import (
+    Cancellative,
+    Expansion,
+    Family,
+    find_cancellative_violation,
+    find_clique_expansion,
+)
 from .hypercore import Hypergraph, link, shadow, sigma, sigma_hat, z_value
 
 TOLERANCE = 1e-9
@@ -61,6 +68,10 @@ class BoundReport:
     slack: float
     tight: bool
 
+    @property
+    def holds(self) -> bool:
+        return self.slack >= -TOLERANCE
+
 
 @dataclass(frozen=True)
 class Inequality:
@@ -86,17 +97,6 @@ def _ineq(identifier: str, lhs: float, rhs: float) -> Inequality:
     return Inequality(identifier, lhs, rhs, lhs <= rhs + TOLERANCE)
 
 
-def kk_bound(h: Hypergraph) -> BoundReport:
-    """Kruskal-Katona upper bound |H| <= C(x, r) with C(x, r-1) = |shadow|."""
-    if not h.edges:
-        raise EmptyInputError("kk_bound needs a nonempty shadow")
-    s = len(shadow(h))
-    x = solve_binomial_x(s, h.r - 1)
-    bound = falling_binomial(x, h.r)
-    slack = bound - len(h)
-    return BoundReport(s, x, bound, len(h), slack, abs(slack) <= TOLERANCE)
-
-
 def cancellative_bound(shadow_size: float, r: int) -> tuple[float, float]:
     """x and the bound (x/r)^r from |shadow| = x^(r-1) / r^(r-2)."""
     if shadow_size <= 0:
@@ -115,22 +115,42 @@ def expansion_bound(shadow_size: float, ell: int, r: int) -> tuple[float, float]
     return x, math.comb(ell, r) * (x / ell) ** r
 
 
-def cancellative_report(h: Hypergraph) -> BoundReport:
+def shadow_bound(
+    family: Optional[Family], shadow_size: float, r: int
+) -> tuple[float, float]:
+    """x and the bound on |H| for an r-graph H with |shadow| = shadow_size:
+    Kruskal-Katona for every r-graph when `family` is None (Theorem 1), the
+    cancellative bound (Theorem 3), or the clique-expansion bound (Theorem 6).
+    The one place that chooses a bound formula."""
+    if family is None:
+        x = solve_binomial_x(shadow_size, r - 1)
+        return x, falling_binomial(x, r)
+    if isinstance(family, Cancellative):
+        return cancellative_bound(shadow_size, r)
+    return expansion_bound(shadow_size, family.ell, r)
+
+
+def bound_report_for(h: Hypergraph, family: Optional[Family]) -> BoundReport:
+    """The bound of `family` (None: every r-graph) evaluated on H."""
     if not h.edges:
-        raise EmptyInputError("cancellative bound needs a nonempty hypergraph")
+        raise EmptyInputError("shadow bound needs a nonempty hypergraph")
     s = len(shadow(h))
-    x, bound = cancellative_bound(s, h.r)
+    x, bound = shadow_bound(family, s, h.r)
     slack = bound - len(h)
     return BoundReport(s, x, bound, len(h), slack, abs(slack) <= TOLERANCE)
+
+
+def kk_bound(h: Hypergraph) -> BoundReport:
+    """Kruskal-Katona upper bound |H| <= C(x, r) with C(x, r-1) = |shadow|."""
+    return bound_report_for(h, None)
+
+
+def cancellative_report(h: Hypergraph) -> BoundReport:
+    return bound_report_for(h, Cancellative())
 
 
 def expansion_report(h: Hypergraph, ell: int) -> BoundReport:
-    if not h.edges:
-        raise EmptyInputError("expansion bound needs a nonempty hypergraph")
-    s = len(shadow(h))
-    x, bound = expansion_bound(s, ell, h.r)
-    slack = bound - len(h)
-    return BoundReport(s, x, bound, len(h), slack, abs(slack) <= TOLERANCE)
+    return bound_report_for(h, Expansion(ell))
 
 
 def _shadow_of_link_size(h: Hypergraph, v: int) -> int:
@@ -242,16 +262,3 @@ def concentration_bound(
             f"low tail of {small} values exceeds its guaranteed cap {bound}"
         )
     return bound, small
-
-
-def bound_report_for(h: Hypergraph, kind: str, ell: int | None = None) -> BoundReport:
-    """Dispatch helper used by the CLI and the enumeration sweeps."""
-    if kind == "kk":
-        return kk_bound(h)
-    if kind == "cancellative":
-        return cancellative_report(h)
-    if kind == "expansion":
-        if ell is None:
-            raise DomainError("expansion bound needs ell")
-        return expansion_report(h, ell)
-    raise DomainError(f"unknown bound kind {kind!r}")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from . import __version__
-from .bounds import TOLERANCE, bound_report_for, lemma14_check, lemma9_check
+from .bounds import bound_report_for, lemma14_check, lemma9_check
 from .constructions import clique_expansion_graph, complete, fano, turan, turan_padded
 from .errors import (
     DomainError,
@@ -114,6 +114,10 @@ def _jsonable(value: Any) -> Any:
 
 
 def _family(name: str, ell: Optional[int], r: int):
+    """The family a --family flag names; `kk` (a bound over every r-graph)
+    and `none` (enumerate every r-graph) name no forbidden family."""
+    if name in ("kk", "none"):
+        return None
     if name == "cancellative":
         return Cancellative()
     if name == "expansion":
@@ -152,9 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shadowlab")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", help="report output path (default: stdout)")
+    def common(p):
+        p.add_argument("--out", help="report output path (default: stdout)")
 
     p = sub.add_parser("construct", help="write a named hypergraph as an edge list")
     p.add_argument("--family", required=True,
@@ -277,27 +280,22 @@ def _cmd_check(args) -> tuple[int, Optional[str], list]:
 
 def _cmd_bound(args) -> tuple[int, Optional[str], list]:
     h, digest = _read_input(args.input)
-    report = bound_report_for(h, args.family, args.l)
+    report = bound_report_for(h, _family(args.family, args.l, h.r))
     payload = {"type": "bound", "kind": args.family, **_jsonable(report)}
-    code = EXIT_OK if report.slack >= -TOLERANCE else EXIT_CHECK_FAILED
-    return code, digest, [payload]
+    return (EXIT_OK if report.holds else EXIT_CHECK_FAILED), digest, [payload]
 
 
 def _cmd_lemmas(args) -> tuple[int, Optional[str], list]:
     h, digest = _read_input(args.input)
-    if args.family == "cancellative":
-        report = lemma9_check(h)
-    else:
-        if args.l is None:
-            raise ParameterError("lemmas --family expansion requires --l")
-        report = lemma14_check(h, args.l)
+    fam = _family(args.family, args.l, h.r)
+    report = lemma9_check(h) if isinstance(fam, Cancellative) else lemma14_check(h, fam.ell)
     payload = {"type": "inequalities", "family": args.family,
                "all_hold": report.all_hold, **_jsonable(report)}
     return (EXIT_OK if report.all_hold else EXIT_CHECK_FAILED), digest, [payload]
 
 
 def _cmd_enumerate(args) -> tuple[int, Optional[str], list]:
-    fam = None if args.family == "none" else _family(args.family, args.l, args.r)
+    fam = _family(args.family, args.l, args.r)
     results = []
     code = EXIT_OK
     stats = enumerate_free(args.n, args.r, fam, engine=args.engine)
@@ -347,12 +345,19 @@ _HANDLERS = {
 
 def _cmd_revalidate(args) -> int:
     with open(args.report) as fh:
-        report = json.load(fh)
-    command = report.get("command", [])
-    if not command or command[0] == "revalidate":
+        try:
+            report = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"report {args.report} is not JSON: {exc}")
+    command = report.get("command") if isinstance(report, dict) else None
+    if (not isinstance(command, list) or not command
+            or not all(isinstance(arg, str) for arg in command)
+            or command[0] == "revalidate"):
         raise ParameterError("report does not carry a re-runnable command")
-    parser = _build_parser()
-    rerun_args = parser.parse_args(command)
+    try:
+        rerun_args = _build_parser().parse_args(command)
+    except SystemExit:
+        raise ParameterError(f"recorded command {command} does not parse")
     rerun_args.out = None
     _, _, results = _HANDLERS[rerun_args.subcommand](rerun_args)
     fresh = _jsonable(results)

@@ -14,11 +14,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .bounds import TOLERANCE, cancellative_bound, expansion_bound, falling_binomial, solve_binomial_x
+from .bounds import TOLERANCE, shadow_bound
 from .errors import ParameterError, ResourceBudgetError
-from .forbidden import Family, IncrementalFreeChecker, is_free
+from .forbidden import Cancellative, Expansion, Family, IncrementalFreeChecker, is_free
 from .hypercore import Hypergraph
 
 NAIVE_EDGE_BUDGET = 24      # naive engine requires C(n, r) <= this
@@ -79,12 +79,12 @@ def _refine_colors(h: Hypergraph) -> list[int]:
         colors = new
 
 
-def canonical_form(h: Hypergraph, cap: int = CANONICAL_VERTEX_CAP) -> bytes:
+def canonical_form(h: Hypergraph) -> bytes:
     """A canonical byte string per isomorphism class: the minimum over
     admissible vertex orderings of the relabeled, sorted edge list, with
     color-refinement pruning."""
-    if h.n > cap:
-        raise ResourceBudgetError(f"canonical_form capped at n <= {cap}, got {h.n}")
+    if h.n > CANONICAL_VERTEX_CAP:
+        raise ResourceBudgetError(f"canonical_form capped at n <= {CANONICAL_VERTEX_CAP}, got {h.n}")
     colors = _refine_colors(h)
     classes: dict[int, list[int]] = {}
     for v in range(h.n):
@@ -281,6 +281,15 @@ def extremal_search(n: int, r: int, family: Family) -> ExtremalResult:
     )
 
 
+# The sweep's bound names: Theorem 1 is Kruskal-Katona for every r-graph,
+# Theorem 3 the cancellative bound, Theorem 6 the clique-expansion bound.
+_SWEEP_BOUNDS: dict[str, Callable[[Optional[int]], Optional[Family]]] = {
+    "thm1": lambda ell: None,
+    "thm3": lambda ell: Cancellative(),
+    "thm6": lambda ell: Expansion(ell),
+}
+
+
 def verify_bound_over_enumeration(
     n: int,
     r: int,
@@ -291,6 +300,11 @@ def verify_bound_over_enumeration(
     """Evaluate the named bound on every family-free graph; report the worst
     slack and any violations (expected none). The shadow size is kept up to
     date by the DFS hooks as edges join and leave."""
+    if bound_kind not in _SWEEP_BOUNDS:
+        raise ParameterError(f"unknown bound kind {bound_kind!r}")
+    if bound_kind == "thm6" and ell is None:
+        raise ParameterError("thm6 sweep needs ell")
+    bound_family = _SWEEP_BOUNDS[bound_kind](ell)
     _check_naive_budget(n, r)
     subsets = [tuple(itertools.combinations(e, r - 1)) for e in _candidate_edges(n, r)]
 
@@ -298,16 +312,7 @@ def verify_bound_over_enumeration(
 
     def bound_for(s: int) -> float:
         if s not in bound_cache:
-            if bound_kind == "thm1":
-                bound_cache[s] = falling_binomial(solve_binomial_x(s, r - 1), r)
-            elif bound_kind == "thm3":
-                bound_cache[s] = cancellative_bound(s, r)[1]
-            elif bound_kind == "thm6":
-                if ell is None:
-                    raise ParameterError("thm6 sweep needs ell")
-                bound_cache[s] = expansion_bound(s, ell, r)[1]
-            else:
-                raise ParameterError(f"unknown bound kind {bound_kind!r}")
+            bound_cache[s] = shadow_bound(bound_family, s, r)[1]
         return bound_cache[s]
 
     coverage: dict[tuple[int, ...], int] = {}
@@ -372,20 +377,3 @@ def random_free_graph(
             checker.push(m)
             kept.append(e)
     return Hypergraph(r, n, tuple(sorted(kept)))
-
-
-def write_class_cache(path, forms: Iterable[bytes]) -> None:
-    """Cache format: sorted canonical forms, one per line."""
-    with open(path, "wb") as fh:
-        for key in sorted(forms):
-            fh.write(key + b"\n")
-
-
-def read_class_cache(path) -> tuple[bytes, ...]:
-    with open(path, "rb") as fh:
-        return tuple(line.rstrip(b"\n") for line in fh if line.strip())
-
-
-def cache_name(n: int, r: int, family: str, engine: str, version: int = 1) -> str:
-    safe = family.replace("(", "_").replace(")", "")
-    return f"classes_v{version}_{engine}_n{n}_r{r}_{safe}.txt"

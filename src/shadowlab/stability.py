@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bounds import TOLERANCE, cancellative_bound, expansion_bound
+from .bounds import TOLERANCE, shadow_bound
 from .errors import EmptyInputError, ParameterError, PreconditionError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, violation
 from .hypercore import Hypergraph, shadow, sigma, z_value
@@ -79,11 +79,7 @@ class StabilityCertificate:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.hypothesis_met
-            and self.fit is not None
-            and self.fit.removed <= self.removed_cap + TOLERANCE
-        )
+        return self.status == "ok"
 
 
 def _ge_flag(identifier: str, value: float, reference: float) -> ClaimFlag:
@@ -100,7 +96,6 @@ def partition_fit(
     cap: int,
     mode: str = "exact",
     seed: int = 0,
-    restarts: int = 20,
 ) -> PartitionFit:
     """Minimum edge removals to leave a subgraph of a complete ell-partite
     r-graph on at most `cap` vertices.
@@ -119,7 +114,7 @@ def partition_fit(
         labels, removed = _fit_branch_and_bound(h, ell, cap, seed)
         return _fit_result(h, ell, labels, removed, optimal=True)
     if mode == "heuristic":
-        labels, removed = _fit_heuristic(h, ell, cap, seed, restarts)
+        labels, removed = _fit_heuristic(h, ell, cap, seed, restarts=20)
         return _fit_result(h, ell, labels, removed, optimal=False)
     raise ParameterError(f"unknown mode {mode!r}")
 
@@ -231,7 +226,7 @@ def _fit_heuristic(h: Hypergraph, ell: int, cap: int, seed: int, restarts: int):
             costs = _local_cost(links[v], labels, ell, out_breaks=False)
             labels[v] = costs.index(min(costs))
             in_count += 1
-        labels, removed = _local_search(h, links, labels, ell, cap)
+        labels, removed = _local_search(h, links, labels, ell)
         if removed < best:
             best = removed
             best_labels = labels
@@ -259,27 +254,26 @@ def _local_cost(links_v, labels, ell, out_breaks) -> list[int]:
     return [broken + c for c in costs]
 
 
-def _local_search(h: Hypergraph, links, labels, ell, cap):
-    """Single-vertex moves into a part, first improvement in vertex and part
-    order, until none helps. Each move is scored by its change over the
-    edges through the vertex; returns the labels and their removals."""
+def _local_search(h: Hypergraph, links, labels, ell):
+    """Single-vertex moves between parts, first improvement in vertex and
+    part order, until none helps. Each move is scored by its change over the
+    edges through the vertex; returns the labels and their removals. Left-out
+    vertices stay out: the greedy seeding leaves a vertex out only once the
+    cap is full, so moving one in would exceed it."""
     current = _removed_count(h, labels)
-    in_count = sum(1 for p in labels if p != OUT)
     improved = True
     while improved:
         improved = False
         for v in range(h.n):
-            original = labels[v]
-            if original == OUT and in_count >= cap:
+            if labels[v] == OUT:
                 continue
             costs = _local_cost(links[v], labels, ell, out_breaks=True)
-            cost = len(links[v]) if original == OUT else costs[original]
+            cost = costs[labels[v]]
             for p in range(ell):
                 if costs[p] < cost:
                     current += costs[p] - cost
                     cost = costs[p]
-                    in_count += original == OUT
-                    original = labels[v] = p
+                    labels[v] = p
                     improved = True
     return labels, current
 
@@ -408,12 +402,8 @@ def stability_certificate(
         raise EmptyInputError("certificate needs a nonempty hypergraph")
     r = h.r
     p = len(shadow(h))
-    if isinstance(family, Cancellative):
-        ell_parts = r
-        x, bound = cancellative_bound(p, r)
-    else:
-        ell_parts = family.ell
-        x, bound = expansion_bound(p, family.ell, r)
+    x, bound = shadow_bound(family, p, r)
+    ell_parts = r if isinstance(family, Cancellative) else family.ell
     removed_cap = delta * x ** r
     eps1 = {
         "lemma-statement": 35 * r ** 4 * math.sqrt(eps),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlab import Hypergraph, complete, shadow, turan, turan_padded
+from shadowlab import Cancellative, Expansion, Hypergraph, complete, shadow, turan, turan_padded
 from shadowlab.bounds import (
     TOLERANCE,
     bound_report_for,
@@ -110,13 +110,20 @@ class TestShadowBounds:
             assert rep.tight, (n, m, ell, r, rep.slack)
 
     def test_dispatch(self, t6):
-        assert bound_report_for(t6, "kk").shadow_size == 12
-        assert bound_report_for(t6, "cancellative").tight
-        assert bound_report_for(t6, "expansion", 3).tight
+        assert bound_report_for(t6, None).shadow_size == 12
+        assert bound_report_for(t6, Cancellative()).tight
+        assert bound_report_for(t6, Expansion(3)).tight
+        assert bound_report_for(t6, None) == kk_bound(t6)
+        assert bound_report_for(t6, Cancellative()) == cancellative_report(t6)
+        assert bound_report_for(t6, Expansion(3)) == expansion_report(t6, 3)
         with pytest.raises(DomainError):
-            bound_report_for(t6, "expansion")
-        with pytest.raises(DomainError):
-            bound_report_for(t6, "thm2")
+            bound_report_for(t6, Expansion(2))
+
+    def test_holds(self, t6, k4):
+        assert bound_report_for(t6, Cancellative()).holds
+        assert bound_report_for(k4, None).holds
+        # K_4^3 is not cancellative: 4 edges over the bound 18^(3/2)/27 < 3.
+        assert not bound_report_for(k4, Cancellative()).holds
 
 
 class TestLemma9:

@@ -183,9 +183,28 @@ class TestExitCodes:
         assert run(["enumerate", "--n", "8", "--r", "3",
                     "--family", "cancellative"]) == EXIT_BUDGET
 
-    def test_expansion_requires_l(self, tmp_path):
+    @pytest.mark.parametrize("command", ["check", "bound", "lemmas"])
+    def test_expansion_requires_l(self, command, tmp_path, capsys):
         hg = write_turan(tmp_path / "t.hg")
-        assert run(["check", "--input", hg, "--family", "expansion"]) == EXIT_USAGE
+        assert run([command, "--input", hg, "--family", "expansion"]) == EXIT_USAGE
+        assert "requires --l" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", [
+        "not json",
+        "[1,2]",
+        '{"command": ["check", "--bogus"]}',
+        '{"results": []}',
+        '{"command": []}',
+        '{"command": "bound"}',
+        '{"command": ["bound", 3]}',
+        '{"command": ["revalidate", "--report", "r.json"]}',
+    ], ids=["not-json", "not-an-object", "unparsable-command", "no-command",
+            "empty-command", "string-command", "non-string-argument",
+            "revalidate-command"])
+    def test_revalidate_malformed_report(self, document, tmp_path):
+        report = tmp_path / "r.json"
+        report.write_text(document)
+        assert run(["revalidate", "--report", str(report)]) == EXIT_USAGE
 
     def test_usage_error_on_directory_input(self, tmp_path):
         assert run(["check", "--input", str(tmp_path),

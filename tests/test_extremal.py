@@ -13,20 +13,17 @@ from shadowlab.bounds import (
     falling_binomial,
     solve_binomial_x,
 )
-from shadowlab.errors import ResourceBudgetError
+from shadowlab.errors import ParameterError, ResourceBudgetError
 from shadowlab.extremal import (
     _iter_free_edge_sets,
     are_isomorphic,
-    cache_name,
     canonical_form,
     enumerate_free,
     enumerate_free_classes,
     extremal_search,
     permutation_isomorphism_oracle,
     random_free_graph,
-    read_class_cache,
     verify_bound_over_enumeration,
-    write_class_cache,
 )
 
 
@@ -156,6 +153,13 @@ class TestBoundSweeps:
         report = verify_bound_over_enumeration(5, 3, Expansion(3), "thm6", ell=3)
         assert report.violations == ()
 
+    @pytest.mark.parametrize("kind", ["thm2", "thm6"])
+    def test_bad_bound_rejected_before_the_dfs(self, kind):
+        # n = 8 is past the naive budget, so only a check made first can
+        # raise ParameterError (thm6 without ell).
+        with pytest.raises(ParameterError):
+            verify_bound_over_enumeration(8, 3, None, kind)
+
     def test_argmin_recorded(self):
         report = verify_bound_over_enumeration(4, 3, Cancellative(), "thm3")
         assert report.argmin_edges  # some nonempty graph attains the minimum
@@ -217,15 +221,3 @@ class TestRandomFree:
         a = random_free_graph(9, 3, Cancellative(), 123, 8)
         b = random_free_graph(9, 3, Cancellative(), 123, 8)
         assert a == b
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        forms = [canonical_form(h) for h in enumerate_free_classes(4, 3, None)]
-        path = tmp_path / cache_name(4, 3, "none", "orderly")
-        write_class_cache(path, forms)
-        assert read_class_cache(path) == tuple(sorted(forms))
-
-    def test_cache_name_is_filesystem_safe(self):
-        name = cache_name(6, 3, "expansion(3)", "naive")
-        assert "(" not in name and ")" not in name
