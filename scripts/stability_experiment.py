@@ -8,21 +8,12 @@ in non-transversal edges to show the removal count tracking them exactly.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from shadowlab import Cancellative, Hypergraph, perturb, turan
 from shadowlab.constructions import Xorshift64Star
 from shadowlab.stability import partition_fit, stability_certificate
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    n: int = 12
-    ell: int = 3
-    seeds: int = 10
-    max_deletions: int = 6
-    eps: float = 0.05
-    delta: float = 0.05
+ELL = 3
 
 
 def intra_part_edges(n: int, ell: int, count: int, seed: int):
@@ -50,30 +41,26 @@ def main() -> None:
     parser.add_argument("--spike", type=int, default=0,
                         help="also add this many intra-part edges")
     args = parser.parse_args()
-    config = ExperimentConfig(
-        n=args.n, seeds=args.seeds, max_deletions=args.max_deletions,
-        eps=args.eps, delta=args.delta,
-    )
 
-    base = turan(config.n, config.ell, 3)[0]
-    print(f"base: {len(base)} edges on {config.n} vertices, "
-          f"{config.ell} parts")
+    base = turan(args.n, ELL, 3)[0]
+    print(f"base: {len(base)} edges on {args.n} vertices, "
+          f"{ELL} parts")
     print(f"{'deleted':>8} {'seed':>5} {'status':>20} {'removed':>8} "
           f"{'cap':>8}")
-    for deleted in range(config.max_deletions + 1):
-        for seed in range(config.seeds):
+    for deleted in range(args.max_deletions + 1):
+        for seed in range(args.seeds):
             h = perturb(base, seed, deleted, 0).hypergraph
             cert = stability_certificate(
-                h, Cancellative(), config.eps, config.delta
+                h, Cancellative(), args.eps, args.delta
             )
             removed = cert.fit.removed if cert.fit is not None else "-"
             print(f"{deleted:>8} {seed:>5} {cert.status:>20} {removed!s:>8} "
                   f"{cert.removed_cap:>8.2f}")
 
     if args.spike:
-        extra = intra_part_edges(config.n, config.ell, args.spike, seed=0)
-        spiked = Hypergraph.build(3, config.n, base.edges + extra)
-        fit = partition_fit(spiked, config.ell, config.n)
+        extra = intra_part_edges(args.n, ELL, args.spike, seed=0)
+        spiked = Hypergraph.build(3, args.n, base.edges + extra)
+        fit = partition_fit(spiked, ELL, args.n)
         print(f"\nspiked {args.spike} intra-part edges -> "
               f"fit removed {fit.removed} (optimal={fit.optimal})")
 

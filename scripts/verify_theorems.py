@@ -9,24 +9,11 @@ configurations.
 
 import argparse
 import time
-from dataclasses import dataclass
 
 from shadowlab import Cancellative, Expansion
 from shadowlab.extremal import verify_bound_over_enumeration
 
-
-@dataclass(frozen=True)
-class SweepConfig:
-    n_max: int = 6
-    r: int = 3
-    ell: int = 3
-
-
-SWEEPS = [
-    ("unconstrained", None, "thm1"),
-    ("cancellative", Cancellative(), "thm3"),
-    ("expansion", "ell", "thm6"),
-]
+R = 3
 
 
 def main() -> None:
@@ -34,17 +21,19 @@ def main() -> None:
     parser.add_argument("--n-max", type=int, default=6)
     parser.add_argument("--l", type=int, default=3, dest="ell")
     args = parser.parse_args()
-    config = SweepConfig(n_max=args.n_max, ell=args.ell)
+    sweeps = [
+        ("unconstrained", None, "thm1"),
+        ("cancellative", Cancellative(), "thm3"),
+        ("expansion", Expansion(args.ell), "thm6"),
+    ]
 
     print(f"{'family':>14} {'bound':>6} {'n':>3} {'graphs':>9} "
           f"{'violations':>10} {'min slack':>12} {'secs':>7}")
-    for label, family, kind in SWEEPS:
-        if family == "ell":
-            family = Expansion(config.ell)
-        for n in range(config.r, config.n_max + 1):
+    for label, family, kind in sweeps:
+        for n in range(R, args.n_max + 1):
             t0 = time.perf_counter()
             report = verify_bound_over_enumeration(
-                n, config.r, family, kind, ell=config.ell
+                n, R, family, kind, ell=args.ell
             )
             dt = time.perf_counter() - t0
             print(f"{label:>14} {kind:>6} {n:>3} {report.visited:>9} "

@@ -2,10 +2,13 @@
 and clique-expansion shadow bounds, and the inequality batteries used by the
 stability arguments.
 
-All bound arithmetic is double precision with a uniform 1e-9 tolerance for
-tightness flags; the real binomial C(x, k) is evaluated as a falling
-factorial, never through the Gamma function. Inequality checks recompute
-every quantity from the hypergraph on each call.
+All bound arithmetic is double precision, and every verdict (a bound's
+`holds` and `tight`, the inequality batteries, the stability claim flags, the
+certificate's hypothesis and removal tests, the sweep's violations) compares
+through `at_most` and `at_least`, the one place the 1e-9 tolerance is
+applied. The real binomial C(x, k) is evaluated as a falling factorial,
+never through the Gamma function. Inequality checks recompute every quantity
+from the hypergraph on each call.
 """
 
 from __future__ import annotations
@@ -14,18 +17,22 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, EmptyInputError, PreconditionError
-from .forbidden import (
-    Cancellative,
-    Expansion,
-    Family,
-    find_cancellative_violation,
-    find_clique_expansion,
-)
+from .errors import DomainError, EmptyInputError
+from .forbidden import Cancellative, Expansion, Family, require_free
 from .hypercore import Hypergraph, link, shadow, sigma, sigma_hat, z_value
 
 TOLERANCE = 1e-9
 _BISECT_TOL = 1e-12
+
+
+def at_most(a: float, b: float) -> bool:
+    """The verdict a <= b, up to TOLERANCE."""
+    return a <= b + TOLERANCE
+
+
+def at_least(a: float, b: float) -> bool:
+    """The verdict a >= b, up to TOLERANCE."""
+    return a >= b - TOLERANCE
 
 
 def falling_binomial(x: float, k: int) -> float:
@@ -70,7 +77,7 @@ class BoundReport:
 
     @property
     def holds(self) -> bool:
-        return self.slack >= -TOLERANCE
+        return at_least(self.slack, 0.0)
 
 
 @dataclass(frozen=True)
@@ -94,11 +101,13 @@ class InequalityReport:
 
 
 def _ineq(identifier: str, lhs: float, rhs: float) -> Inequality:
-    return Inequality(identifier, lhs, rhs, lhs <= rhs + TOLERANCE)
+    return Inequality(identifier, lhs, rhs, at_most(lhs, rhs))
 
 
 def cancellative_bound(shadow_size: float, r: int) -> tuple[float, float]:
     """x and the bound (x/r)^r from |shadow| = x^(r-1) / r^(r-2)."""
+    if r < 2:
+        raise DomainError(f"need r >= 2, got {r}")
     if shadow_size <= 0:
         raise DomainError(f"shadow size must be positive, got {shadow_size}")
     x = (r ** (r - 2) * shadow_size) ** (1.0 / (r - 1))
@@ -107,6 +116,8 @@ def cancellative_bound(shadow_size: float, r: int) -> tuple[float, float]:
 
 def expansion_bound(shadow_size: float, ell: int, r: int) -> tuple[float, float]:
     """x and the bound C(l, r) (x/l)^r from |shadow| = C(l, r-1) (x/l)^(r-1)."""
+    if r < 2:
+        raise DomainError(f"need r >= 2, got {r}")
     if shadow_size <= 0:
         raise DomainError(f"shadow size must be positive, got {shadow_size}")
     if ell < r:
@@ -137,7 +148,7 @@ def bound_report_for(h: Hypergraph, family: Optional[Family]) -> BoundReport:
     s = len(shadow(h))
     x, bound = shadow_bound(family, s, h.r)
     slack = bound - len(h)
-    return BoundReport(s, x, bound, len(h), slack, abs(slack) <= TOLERANCE)
+    return BoundReport(s, x, bound, len(h), slack, at_most(abs(slack), 0.0))
 
 
 def kk_bound(h: Hypergraph) -> BoundReport:
@@ -164,9 +175,7 @@ def _shadow_of_link_size(h: Hypergraph, v: int) -> int:
 def lemma9_check(h: Hypergraph) -> InequalityReport:
     """The four cancellative degree-sum inequalities, evaluated at the
     lexicographically smallest maximum-degree-sum edge."""
-    witness = find_cancellative_violation(h)
-    if witness is not None:
-        raise PreconditionError("hypergraph is not cancellative", witness)
+    require_free(h, Cancellative())
     if not h.edges:
         raise EmptyInputError("lemma9_check needs a nonempty hypergraph")
     r = h.r
@@ -207,11 +216,7 @@ def lemma9_check(h: Hypergraph) -> InequalityReport:
 def lemma14_check(h: Hypergraph, ell: int) -> InequalityReport:
     """The two clique-expansion inequalities, with z and its binding clique
     recomputed from scratch."""
-    witness = find_clique_expansion(h, ell)
-    if witness is not None:
-        raise PreconditionError(
-            f"hypergraph contains a 2-covered {ell + 1}-set", witness
-        )
+    require_free(h, Expansion(ell))
     if not h.edges:
         raise EmptyInputError("lemma14_check needs a nonempty hypergraph")
     r = h.r
@@ -239,26 +244,3 @@ def lemma14_check(h: Hypergraph, ell: int) -> InequalityReport:
             _ineq("L14.2", float(sum_sigma), rhs2),
         )
     )
-
-
-def concentration_bound(
-    values: list[float], delta1: float, delta2: float
-) -> tuple[float, int]:
-    """Size of the low tail {v : f(v) <= mean - delta1} and its guaranteed
-    cap delta2 |V| / (delta1 + delta2), valid when max f <= mean + delta2."""
-    if delta1 <= 0 or delta2 <= 0:
-        raise DomainError("delta1 and delta2 must be positive")
-    if not values:
-        raise EmptyInputError("concentration_bound needs at least one value")
-    mean = sum(values) / len(values)
-    if max(values) > mean + delta2 + _BISECT_TOL:
-        raise PreconditionError(
-            f"max value {max(values)} exceeds mean + delta2 = {mean + delta2}"
-        )
-    small = sum(1 for v in values if v <= mean - delta1)
-    bound = delta2 / (delta1 + delta2) * len(values)
-    if small > bound + TOLERANCE:
-        raise RuntimeError(
-            f"low tail of {small} values exceeds its guaranteed cap {bound}"
-        )
-    return bound, small

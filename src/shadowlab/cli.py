@@ -24,11 +24,8 @@ from . import __version__
 from .bounds import bound_report_for, lemma14_check, lemma9_check
 from .constructions import clique_expansion_graph, complete, fano, turan, turan_padded
 from .errors import (
-    DomainError,
     EdgeListParseError,
-    EmptyInputError,
     ParameterError,
-    PreconditionError,
     ResourceBudgetError,
     ShadowlabError,
 )
@@ -387,9 +384,7 @@ def run(argv: list[str]) -> int:
     except ResourceBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
-    except (ParameterError, DomainError, EmptyInputError, PreconditionError,
-            EdgeListParseError, FileNotFoundError, IsADirectoryError,
-            UnicodeDecodeError, ShadowlabError) as exc:
+    except (ShadowlabError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

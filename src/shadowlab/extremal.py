@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .bounds import TOLERANCE, shadow_bound
+from .bounds import at_least, shadow_bound
 from .errors import ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, IncrementalFreeChecker, is_free
 from .hypercore import Hypergraph
@@ -24,7 +24,6 @@ from .hypercore import Hypergraph
 NAIVE_EDGE_BUDGET = 24      # naive engine requires C(n, r) <= this
 ORDERLY_VERTEX_BUDGET = 8   # orderly engine requires n <= this
 PERMUTATION_BUDGET = 1_000_000
-CANONICAL_VERTEX_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,6 @@ def canonical_form(h: Hypergraph) -> bytes:
     """A canonical byte string per isomorphism class: the minimum over
     admissible vertex orderings of the relabeled, sorted edge list, with
     color-refinement pruning."""
-    if h.n > CANONICAL_VERTEX_CAP:
-        raise ResourceBudgetError(f"canonical_form capped at n <= {CANONICAL_VERTEX_CAP}, got {h.n}")
     colors = _refine_colors(h)
     classes: dict[int, list[int]] = {}
     for v in range(h.n):
@@ -133,6 +130,11 @@ def _candidate_edges(n: int, r: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(n), r))
 
 
+def _check_shape(n: int, r: int) -> None:
+    if n < 0 or r < 1:
+        raise ParameterError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
+
+
 def _check_naive_budget(n: int, r: int) -> None:
     if math.comb(n, r) > NAIVE_EDGE_BUDGET:
         raise ResourceBudgetError(
@@ -153,6 +155,7 @@ def enumerate_free(
     The naive engine visits each labeled graph once; the orderly engine
     visits one canonical representative per isomorphism class.
     """
+    _check_shape(n, r)
     if engine == "naive":
         _check_naive_budget(n, r)
         counts: dict[int, int] = {}
@@ -234,6 +237,7 @@ def enumerate_free_classes(
     """Isomorph-free enumeration: grow class representatives one edge at a
     time, keeping only canonical extensions. Deterministic order
     (edge count, canonical key)."""
+    _check_shape(n, r)
     empty = Hypergraph(r, n, ())
     out = [empty]
     level = {canonical_form(empty): empty}
@@ -259,6 +263,7 @@ def enumerate_free_classes(
 
 def extremal_search(n: int, r: int, family: Family) -> ExtremalResult:
     """Exact extremal number with all extremal isomorphism classes."""
+    _check_shape(n, r)
     _check_naive_budget(n, r)
     best = 0
     best_sets: list[tuple[tuple[int, ...], ...]] = []
@@ -300,6 +305,7 @@ def verify_bound_over_enumeration(
     """Evaluate the named bound on every family-free graph; report the worst
     slack and any violations (expected none). The shadow size is kept up to
     date by the DFS hooks as edges join and leave."""
+    _check_shape(n, r)
     if bound_kind not in _SWEEP_BOUNDS:
         raise ParameterError(f"unknown bound kind {bound_kind!r}")
     if bound_kind == "thm6" and ell is None:
@@ -342,7 +348,7 @@ def verify_bound_over_enumeration(
         if not edges:
             continue
         slack = bound_for(shadow_size) - len(edges)
-        if slack < -TOLERANCE:
+        if not at_least(slack, 0.0):
             violations.append(edges)
         if slack < min_slack:
             min_slack = slack
@@ -362,6 +368,7 @@ def random_free_graph(
 ) -> Hypergraph:
     """Seeded rejection sampler: walk a shuffled candidate list, keeping each
     edge that preserves freeness, until target_edges edges are placed."""
+    _check_shape(n, r)
     rng = random.Random(seed)
     candidates = _candidate_edges(n, r)
     rng.shuffle(candidates)

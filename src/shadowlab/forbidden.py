@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ParameterError
+from .errors import ParameterError, PreconditionError
 from .hypercore import Hypergraph, first_clique, mask_to_tuple
 
 
@@ -152,17 +152,29 @@ def brute_force_clique_expansion(h: Hypergraph, ell: int) -> Optional[tuple[int,
     return None
 
 
-def is_free(h: Hypergraph, family: Family) -> bool:
-    """Thin predicate over the two finders."""
-    if isinstance(family, Cancellative):
-        return find_cancellative_violation(h) is None
-    return find_clique_expansion(h, family.ell) is None
-
-
 def violation(h: Hypergraph, family: Family) -> Optional[Witness]:
+    """The witness of the family's finder, None iff H is family-free."""
     if isinstance(family, Cancellative):
         return find_cancellative_violation(h)
     return find_clique_expansion(h, family.ell)
+
+
+def is_free(h: Hypergraph, family: Family) -> bool:
+    """Thin predicate over `violation`."""
+    return violation(h, family) is None
+
+
+def require_free(h: Hypergraph, family: Family) -> None:
+    """Raise PreconditionError, carrying the witness, unless H is
+    family-free: the one check behind every routine that assumes it."""
+    w = violation(h, family)
+    if w is None:
+        return
+    if w.kind == "cancellative-triple":
+        raise PreconditionError("hypergraph is not cancellative", w)
+    raise PreconditionError(
+        f"hypergraph contains a 2-covered {len(w.core)}-set", w
+    )
 
 
 class IncrementalFreeChecker:

@@ -285,7 +285,8 @@ def z_value(h: Hypergraph, ell: int) -> ZValue:
         if best is None or ratio < best:
             best = ratio
             witness = r_set
-    assert best is not None
+    if best is None:
+        raise RuntimeError(f"no nonempty 2-covered set of size <= {ell - 1}")
     if best < 0:
         return ZValue(Fraction(0), witness, ell, clamped=True)
     return ZValue(best, witness, ell)

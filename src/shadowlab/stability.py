@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bounds import TOLERANCE, shadow_bound
-from .errors import EmptyInputError, ParameterError, PreconditionError, ResourceBudgetError
-from .forbidden import Cancellative, Expansion, Family, violation
+from .bounds import at_least, at_most, shadow_bound
+from .errors import EmptyInputError, ParameterError, ResourceBudgetError
+from .forbidden import Cancellative, Expansion, Family, require_free
 from .hypercore import Hypergraph, shadow, sigma, z_value
 
 EXACT_STATE_BUDGET = 10 ** 7
@@ -83,11 +83,11 @@ class StabilityCertificate:
 
 
 def _ge_flag(identifier: str, value: float, reference: float) -> ClaimFlag:
-    return ClaimFlag(identifier, value, reference, value >= reference - TOLERANCE)
+    return ClaimFlag(identifier, value, reference, at_least(value, reference))
 
 
 def _le_flag(identifier: str, value: float, reference: float) -> ClaimFlag:
-    return ClaimFlag(identifier, value, reference, value <= reference + TOLERANCE)
+    return ClaimFlag(identifier, value, reference, at_most(value, reference))
 
 
 def partition_fit(
@@ -291,18 +291,12 @@ def brute_force_partition_fit(h: Hypergraph, ell: int, cap: int) -> int:
     return best
 
 
-def _require_free(h: Hypergraph, family: Family) -> None:
-    w = violation(h, family)
-    if w is not None:
-        raise PreconditionError(f"hypergraph is not {family}-free", w)
-
-
 def core_extract_cancellative(h: Hypergraph, eps: float) -> CoreExtraction:
     """Threshold set of high-degree-sum shadow members and its vertex core,
     with the claim statistics the cancellative argument tracks."""
     if not 0 < eps < 1:
         raise ParameterError(f"eps must be in (0,1), got {eps}")
-    _require_free(h, Cancellative())
+    require_free(h, Cancellative())
     if not h.edges:
         raise EmptyInputError("core extraction needs a nonempty hypergraph")
     r = h.r
@@ -342,7 +336,7 @@ def core_extract_expansion(h: Hypergraph, ell: int, eps: float) -> CoreExtractio
     and the claim statistics reported as flags."""
     if not 0 < eps < 1:
         raise ParameterError(f"eps must be in (0,1), got {eps}")
-    _require_free(h, Expansion(ell))
+    require_free(h, Expansion(ell))
     if not h.edges:
         raise EmptyInputError("core extraction needs a nonempty hypergraph")
     r = h.r
@@ -397,7 +391,11 @@ def stability_certificate(
     the shadow, test the near-extremal hypothesis, extract the core, fit an
     ell-partition on at most ceil(x) vertices, and compare the removals
     against delta x^r."""
-    _require_free(h, family)
+    if not 0 < eps < 1 or not 0 <= delta < math.inf:
+        raise ParameterError(
+            f"need 0 < eps < 1 and finite delta >= 0, got eps={eps}, delta={delta}"
+        )
+    require_free(h, family)
     if not h.edges:
         raise EmptyInputError("certificate needs a nonempty hypergraph")
     r = h.r
@@ -410,7 +408,7 @@ def stability_certificate(
         "theorem-invocation": 40 * r ** (2 * r) * math.sqrt(eps),
         "induction-variant": 35 * r ** 4 * eps ** 0.25,
     }
-    hypothesis_met = len(h) >= (1 - eps) * bound - TOLERANCE
+    hypothesis_met = at_least(len(h), (1 - eps) * bound)
     if not hypothesis_met:
         return StabilityCertificate(
             str(family), ell_parts, p, x, bound, len(h), eps, delta,
@@ -424,7 +422,7 @@ def stability_certificate(
     fit = partition_fit(
         h, ell_parts, math.ceil(x) if cap is None else cap, mode=mode, seed=seed
     )
-    status = "ok" if fit.removed <= removed_cap + TOLERANCE else "removed-exceeds-cap"
+    status = "ok" if at_most(fit.removed, removed_cap) else "removed-exceeds-cap"
     return StabilityCertificate(
         str(family), ell_parts, p, x, bound, len(h), eps, delta,
         hypothesis_met=True, status=status, removed_cap=removed_cap,

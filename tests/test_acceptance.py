@@ -25,7 +25,6 @@ from shadowlab import (
 )
 from shadowlab.bounds import (
     cancellative_report,
-    concentration_bound,
     expansion_report,
     lemma9_check,
     lemma14_check,
@@ -154,21 +153,6 @@ def test_criterion_08_z_value_exact(t6):
     assert zv.z == Fraction(4)
     assert zv.z == Fraction((3 - 3 + 1) * len(shadow(t6)), 3)
     passed(8, "z = 4 exactly, equal to (l-r+1)|shadow|/l")
-
-
-def test_criterion_09_concentration_property():
-    rng = random.Random(20)
-    for _ in range(10_000):
-        values = [rng.uniform(0, 100) for _ in range(rng.randint(1, 40))]
-        mean = sum(values) / len(values)
-        delta2 = max(max(values) - mean, 1e-9) + rng.uniform(0, 10)
-        delta1 = rng.uniform(1e-6, 60)
-        bound, small = concentration_bound(values, delta1, delta2)
-        assert small <= bound + TOL
-
-    bound, small = concentration_bound([0, 0, 10, 10], 5, 5)
-    assert small == 2 and abs(bound - 2) <= TOL
-    passed(9, "10^4 random vectors within the tail bound; (0,0,10,10) is tight")
 
 
 def test_criterion_10_stability_shape():

@@ -1,7 +1,6 @@
-"""Numeric bounds, the inequality batteries, and the concentration lemma."""
+"""Numeric bounds and the inequality batteries."""
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,6 @@ from shadowlab.bounds import (
     bound_report_for,
     cancellative_bound,
     cancellative_report,
-    concentration_bound,
     expansion_bound,
     expansion_report,
     falling_binomial,
@@ -98,6 +96,11 @@ class TestShadowBounds:
             cancellative_bound(0, 3)
         with pytest.raises(DomainError):
             expansion_bound(5, 2, 3)
+        for r in (0, 1):
+            with pytest.raises(DomainError):
+                cancellative_bound(5, r)
+            with pytest.raises(DomainError):
+                expansion_bound(5, 3, r)
 
     def test_tight_at_padded_turan_multiples(self):
         # cancellative: m a multiple of r
@@ -160,40 +163,6 @@ class TestLemma14:
         with pytest.raises(PreconditionError) as err:
             lemma14_check(complete(5, 3), 3)
         assert err.value.witness.kind == "covered-clique"
-
-
-class TestConcentration:
-    def test_tight_case(self):
-        bound, small = concentration_bound([0, 0, 10, 10], 5, 5)
-        assert small == 2 and bound == pytest.approx(2)
-
-    def test_constant_values(self):
-        bound, small = concentration_bound([4.0] * 9, 1, 1)
-        assert small == 0
-
-    def test_small_spread(self):
-        bound, small = concentration_bound([1, 2, 3], 10, 1)
-        assert small == 0 and small <= bound
-
-    def test_hypothesis_violation(self):
-        with pytest.raises(PreconditionError):
-            concentration_bound([0, 100], 1, 1)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            concentration_bound([1, 2], 0, 1)
-        with pytest.raises(EmptyInputError):
-            concentration_bound([], 1, 1)
-
-    def test_random_vectors(self):
-        rng = random.Random(11)
-        for _ in range(500):
-            values = [rng.uniform(0, 100) for _ in range(rng.randint(1, 40))]
-            mean = sum(values) / len(values)
-            delta2 = max(max(values) - mean, 1e-9)
-            delta1 = rng.uniform(1e-6, 50)
-            bound, small = concentration_bound(values, delta1, delta2)
-            assert small <= bound + TOLERANCE
 
 
 class TestReportsOnShadowSizes:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlab import Hypergraph, turan
+from shadowlab import Cancellative, Hypergraph, complete, turan
 from shadowlab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -18,6 +18,7 @@ from shadowlab.cli import (
     serialize,
 )
 from shadowlab.errors import EdgeListParseError
+from shadowlab.extremal import random_free_graph
 
 
 def write_turan(path):
@@ -225,6 +226,132 @@ class TestExitCodes:
     def test_construct_missing_flag(self, flags, capsys):
         assert run(["construct", *flags]) == EXIT_USAGE
         assert "requires --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--input", "{hg}/x", "--family", "cancellative"],
+        ["bound", "--input", "{hg}", "--family", "kk", "--out", "{hg}/r.json"],
+        ["construct", "--family", "fano", "--out", "{hg}/f.hg"],
+        ["enumerate", "--n", "-1", "--r", "3"],
+        ["extremal", "--n", "-1", "--r", "3", "--family", "cancellative"],
+        ["enumerate", "--n", "3", "--r", "0"],
+        ["enumerate", "--n", "5", "--r", "1", "--family", "cancellative",
+         "--verify-bound", "thm3"],
+        ["enumerate", "--n", "5", "--r", "1", "--family", "cancellative",
+         "--verify-bound", "thm6", "--l", "1"],
+        ["stability", "--input", "{hg}", "--family", "cancellative",
+         "--eps", "-1", "--delta", "0.05"],
+        ["stability", "--input", "{hg}", "--family", "cancellative",
+         "--eps", "0.05", "--delta", "nan"],
+        ["stability", "--input", "{hg}", "--family", "cancellative",
+         "--eps", "0.05", "--delta", "-1"],
+        ["stability", "--input", "{hg}", "--family", "cancellative",
+         "--eps", "nan", "--delta", "0.05"],
+    ], ids=["input-below-a-file", "out-below-a-file", "construct-out-below-a-file",
+            "enumerate-negative-n", "extremal-negative-n", "enumerate-r-0",
+            "thm3-at-r-1", "thm6-at-r-1", "negative-eps", "nan-delta",
+            "negative-delta", "nan-eps"])
+    def test_usage_error(self, argv, tmp_path, capsys):
+        hg = write_turan(tmp_path / "t.hg")
+        assert run([arg.format(hg=hg) for arg in argv]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_bound_sweep_violation_fails(self, tmp_path):
+        # thm3 over every 3-graph on 4 vertices: K_4^3 beats the bound.
+        out = tmp_path / "r.json"
+        assert run(["enumerate", "--n", "4", "--r", "3", "--verify-bound",
+                    "thm3", "--out", str(out)]) == EXIT_CHECK_FAILED
+        assert len(load_report(out)["results"][1]["violations"]) == 5
+
+    def test_certificate_failure_fails(self, tmp_path):
+        # 15 cancellative edges on 8 vertices: the fit removes 3 edges
+        # against a cap of 0.001 x^3 = 0.465.
+        hg = tmp_path / "h.hg"
+        hg.write_text(serialize(random_free_graph(8, 3, Cancellative(), 2)))
+        out = tmp_path / "r.json"
+        assert run(["stability", "--input", str(hg), "--family", "cancellative",
+                    "--eps", "0.2", "--delta", "0.001",
+                    "--out", str(out)]) == EXIT_CHECK_FAILED
+        result = load_report(out)["results"][0]
+        assert result["status"] == "removed-exceeds-cap"
+        assert result["fit"]["removed"] == 3
+
+
+# Inputs for the argv fuzz: a free 3-graph, a non-free one, r = 1, 2 and 4,
+# and an edgeless graph.
+FUZZ_INPUTS = {
+    "t6": serialize(turan(6, 3, 3)[0]),
+    "k4": serialize(complete(4, 3)),
+    "r1": "1 3\n0\n2\n",
+    "r2": "2 4\n0 1\n1 2\n2 3\n",
+    "r4": serialize(turan(8, 4, 4)[0]),
+    "empty": "3 5\n",
+}
+
+_small = st.integers(-1, 5).map(str)
+_real = st.sampled_from(["-1", "0", "0.05", "0.5", "1", "2", "nan", "inf"])
+
+
+def _flags(**strategies):
+    """Each flag absent or given a drawn value."""
+    return st.fixed_dictionaries({}, optional=strategies)
+
+
+_input = st.sampled_from(sorted(FUZZ_INPUTS))
+_fuzz_argv = st.one_of(
+    st.tuples(st.just("construct"), _flags(
+        family=st.sampled_from(["complete", "turan", "turan_padded", "expansion", "fano"]),
+        n=_small, m=_small, l=_small, r=_small)),
+    st.tuples(st.just("shadow"), _flags(input=_input, i=_small)),
+    *(
+        st.tuples(st.just(command), _flags(
+            input=_input, family=st.sampled_from(families), l=_small))
+        for command, families in [
+            ("check", ["cancellative", "expansion"]),
+            ("bound", ["kk", "cancellative", "expansion"]),
+            ("lemmas", ["cancellative", "expansion"]),
+        ]
+    ),
+    st.tuples(st.just("enumerate"), _flags(
+        n=_small, r=_small, l=_small,
+        family=st.sampled_from(["cancellative", "expansion", "none"]),
+        engine=st.sampled_from(["naive", "orderly"]),
+        **{"verify-bound": st.sampled_from(["thm1", "thm3", "thm6"])})),
+    st.tuples(st.just("extremal"), _flags(
+        n=_small, r=_small, l=_small,
+        family=st.sampled_from(["cancellative", "expansion"]))),
+    st.tuples(st.just("stability"), _flags(
+        input=_input, family=st.sampled_from(["cancellative", "expansion"]),
+        l=_small, eps=_real, delta=_real, cap=_small,
+        mode=st.sampled_from(["exact", "heuristic"]))),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_INPUTS.items():
+        (root / f"{name}.hg").write_text(text)
+    return root
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fuzz_argv)
+def test_argv_fuzz_keeps_the_exit_code_contract(fuzz_dir, case):
+    """Every subcommand, on small flag values and inputs, returns a code of
+    the contract without raising, and exit 1 comes with a written report."""
+    command, flags = case
+    out = fuzz_dir / "out"
+    out.unlink(missing_ok=True)
+    argv = [command]
+    for name, value in flags.items():
+        if name == "input":
+            value = str(fuzz_dir / f"{value}.hg")
+        argv += [f"--{name}", value]
+    argv += ["--out", str(out)]
+    code = run(argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_BUDGET), argv
+    if code == EXIT_CHECK_FAILED:
+        assert json.loads(out.read_text())["results"], argv
 
 
 class TestDeterminismAndRevalidate:

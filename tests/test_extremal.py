@@ -71,6 +71,14 @@ class TestCanonicalForm:
         with pytest.raises(ResourceBudgetError):
             canonical_form(Hypergraph.build(3, 13, []))
 
+    def test_thirteen_vertex_path(self):
+        # Refinement splits the path into small colour classes, so only the
+        # permutation budget limits the work, not the vertex count.
+        path = Hypergraph.build(3, 13, [(i, i + 1, i + 2) for i in range(11)])
+        perm = list(range(13))
+        random.Random(13).shuffle(perm)
+        assert canonical_form(path) == canonical_form(relabel(path, perm))
+
 
 class TestEnumeration:
     def test_small_cancellative_extremes(self):
@@ -97,6 +105,28 @@ class TestEnumeration:
     def test_orderly_budget(self):
         with pytest.raises(ResourceBudgetError):
             enumerate_free(9, 3, Cancellative(), engine="orderly")
+
+    def test_orderly_engine_visits_the_classes(self):
+        seen = []
+        stats = enumerate_free(
+            5, 3, Cancellative(), visitor=seen.append, engine="orderly"
+        )
+        assert seen == enumerate_free_classes(5, 3, Cancellative())
+        assert stats.engine == "orderly" and stats.visited == len(seen)
+        assert stats.max_edges == max(len(h) for h in seen)
+
+    @pytest.mark.parametrize("n, r", [(-1, 3), (3, 0), (3, -1)])
+    @pytest.mark.parametrize("entry", [
+        lambda n, r: enumerate_free(n, r, None),
+        lambda n, r: enumerate_free(n, r, None, engine="orderly"),
+        lambda n, r: enumerate_free_classes(n, r, None),
+        lambda n, r: extremal_search(n, r, Cancellative()),
+        lambda n, r: verify_bound_over_enumeration(n, r, None, "thm1"),
+        lambda n, r: random_free_graph(n, r, Cancellative(), 0),
+    ], ids=["naive", "orderly", "classes", "extremal", "sweep", "random"])
+    def test_shape_rejected(self, entry, n, r):
+        with pytest.raises(ParameterError):
+            entry(n, r)
 
     @pytest.mark.parametrize("family", [None, Cancellative(), Expansion(3)])
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -159,6 +189,15 @@ class TestBoundSweeps:
         # raise ParameterError (thm6 without ell).
         with pytest.raises(ParameterError):
             verify_bound_over_enumeration(8, 3, None, kind)
+
+    def test_violations_reported(self):
+        # thm3 over every 3-graph on 4 vertices: K_4^3 and the graphs with
+        # three edges beat the cancellative bound.
+        report = verify_bound_over_enumeration(4, 3, None, "thm3")
+        assert report.visited == 16
+        assert len(report.violations) == 5
+        assert report.min_slack == pytest.approx(-1.1715728752538106)
+        assert report.argmin_edges == complete(4, 3).edges
 
     def test_argmin_recorded(self):
         report = verify_bound_over_enumeration(4, 3, Cancellative(), "thm3")

@@ -20,11 +20,12 @@ from shadowlab import (
     is_free,
     turan,
 )
-from shadowlab.errors import ParameterError
+from shadowlab.errors import ParameterError, PreconditionError
 from shadowlab.forbidden import (
     IncrementalFreeChecker,
     brute_force_cancellative_violation,
     brute_force_clique_expansion,
+    require_free,
     violation,
 )
 
@@ -149,6 +150,16 @@ class TestIsFree:
     def test_violation_dispatch(self, k4):
         assert violation(k4, Cancellative()).kind == "cancellative-triple"
         assert violation(k4, Expansion(3)).kind == "covered-clique"
+
+    def test_require_free(self, t6, k4):
+        require_free(t6, Cancellative())
+        require_free(t6, Expansion(3))
+        with pytest.raises(PreconditionError, match="^hypergraph is not cancellative$") as err:
+            require_free(k4, Cancellative())
+        assert err.value.witness == violation(k4, Cancellative())
+        with pytest.raises(PreconditionError, match="^hypergraph contains a 2-covered 4-set$") as err:
+            require_free(k4, Expansion(3))
+        assert err.value.witness == violation(k4, Expansion(3))
 
     def test_freeness_monotone_under_removal(self):
         rng = random.Random(3)

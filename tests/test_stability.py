@@ -248,6 +248,19 @@ class TestCertificate:
         with pytest.raises(PreconditionError):
             stability_certificate(k4, Cancellative(), 0.05, 0.05)
 
+    @pytest.mark.parametrize("eps, delta", [
+        (-1, 0.05), (0, 0.05), (1, 0.05), (2, 0.05), (math.nan, 0.05),
+        (0.05, -1), (0.05, math.nan), (0.05, math.inf),
+    ])
+    def test_parameters_checked_first(self, eps, delta, k4):
+        # K_4^3 is not cancellative, so only a check made first raises
+        # ParameterError.
+        with pytest.raises(ParameterError):
+            stability_certificate(k4, Cancellative(), eps, delta)
+
+    def test_delta_zero_allowed(self, t6):
+        assert stability_certificate(t6, Cancellative(), 0.05, 0).passed
+
     def test_removed_cap_uses_x_not_n(self):
         h = turan_padded(12, 6, 3, 3)  # padding must not inflate delta x^r
         cert = stability_certificate(h, Cancellative(), 0.05, 0.05)
