@@ -64,7 +64,7 @@ def complete(n: int, r: int) -> Hypergraph:
     """The complete r-graph on n vertices."""
     if not n >= r >= 1:
         raise ParameterError(f"need n >= r >= 1, got n={n}, r={r}")
-    return Hypergraph.build(r, n, itertools.combinations(range(n), r))
+    return Hypergraph(r, n, tuple(itertools.combinations(range(n), r)))
 
 
 def balanced_parts(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
@@ -79,12 +79,12 @@ def turan(n: int, ell: int, r: int) -> tuple[Hypergraph, PartitionSpec]:
     if not (ell >= r >= 2 and n >= ell):
         raise ParameterError(f"need n >= ell >= r >= 2, got n={n}, ell={ell}, r={r}")
     part_of = [i % ell for i in range(n)]
-    edges = [
+    edges = tuple(
         e
         for e in itertools.combinations(range(n), r)
         if len({part_of[v] for v in e}) == r
-    ]
-    return Hypergraph.build(r, n, edges), PartitionSpec(balanced_parts(n, ell), ell)
+    )
+    return Hypergraph(r, n, edges), PartitionSpec(balanced_parts(n, ell), ell)
 
 
 def turan_padded(n: int, m: int, ell: int, r: int) -> Hypergraph:
@@ -94,13 +94,14 @@ def turan_padded(n: int, m: int, ell: int, r: int) -> Hypergraph:
             f"need n >= m >= ell >= r >= 2, got n={n}, m={m}, ell={ell}, r={r}"
         )
     core, _ = turan(m, ell, r)
-    return Hypergraph.build(r, n, core.edges)
+    return Hypergraph(r, n, core.edges)
 
 
 def expansion(g: Hypergraph, r: int) -> Hypergraph:
     """Expand each graph edge to an r-edge with r-2 globally fresh vertices.
 
-    Fresh vertices are numbered after the core vertices, in edge-list order.
+    Fresh vertices are numbered after the core vertices, in edge-list order,
+    so each expanded edge stays sorted and the edge list keeps g's order.
     """
     if g.r != 2:
         raise ParameterError(f"expansion expects a 2-graph, got uniformity {g.r}")
@@ -112,7 +113,7 @@ def expansion(g: Hypergraph, r: int) -> Hypergraph:
         extra = tuple(range(fresh, fresh + r - 2))
         fresh += r - 2
         edges.append(e + extra)
-    return Hypergraph.build(r, fresh, edges)
+    return Hypergraph(r, fresh, tuple(edges))
 
 
 def clique_expansion_graph(ell: int, r: int) -> Hypergraph:
@@ -145,7 +146,7 @@ def perturb(h: Hypergraph, seed: int, delete: int, add: int) -> Perturbation:
     for _ in range(add):
         added.append(non_edges.pop(rng.below(len(non_edges))))
     return Perturbation(
-        Hypergraph.build(h.r, h.n, edges + added),
+        Hypergraph(h.r, h.n, tuple(sorted(edges + added))),
         tuple(sorted(removed)),
         tuple(sorted(added)),
     )

@@ -56,6 +56,7 @@ class SweepReport:
     violations: tuple[tuple[tuple[int, ...], ...], ...]
     min_slack: float
     argmin_edges: tuple[tuple[int, ...], ...]
+    enumeration: EnumerationStats  # the walk's, as the naive engine counts it
 
 
 def _refine_colors(h: Hypergraph) -> list[int]:
@@ -304,7 +305,8 @@ def verify_bound_over_enumeration(
 ) -> SweepReport:
     """Evaluate the named bound on every family-free graph; report the worst
     slack and any violations (expected none). The shadow size is kept up to
-    date by the DFS hooks as edges join and leave."""
+    date by the DFS hooks as edges join and leave. The walk is the naive
+    engine's, so the report also carries its enumeration stats."""
     _check_shape(n, r)
     if bound_kind not in _SWEEP_BOUNDS:
         raise ParameterError(f"unknown bound kind {bound_kind!r}")
@@ -339,23 +341,25 @@ def verify_bound_over_enumeration(
             if coverage[sub] == 0:
                 shadow_size -= 1
 
-    visited = 0
+    counts = [0] * (len(subsets) + 1)  # counts[m] = visits with m edges
     violations: list[tuple[tuple[int, ...], ...]] = []
     min_slack = math.inf
     argmin: tuple[tuple[int, ...], ...] = ()
     for edges in _iter_free_edge_sets(n, r, family, on_push, on_pop):
-        visited += 1
-        if not edges:
+        m = len(edges)
+        counts[m] += 1
+        if not m:
             continue
-        slack = bound_for(shadow_size) - len(edges)
+        slack = bound_for(shadow_size) - m
         if not at_least(slack, 0.0):
             violations.append(edges)
         if slack < min_slack:
             min_slack = slack
             argmin = edges
+    stats = _stats("naive", {m: c for m, c in enumerate(counts) if c})
     return SweepReport(
         n, r, str(family) if family is not None else "none", bound_kind,
-        visited, tuple(violations), min_slack, argmin,
+        stats.visited, tuple(violations), min_slack, argmin, stats,
     )
 
 

@@ -45,8 +45,13 @@ class Hypergraph:
     Instances are immutable; all operations on them are pure functions.
 
     The constructor is the trusted path: it checks nothing, so only code
-    that already guarantees the invariants calls it. Outside input goes
-    through `build` or `cli.parse`, which check every edge.
+    that already guarantees the invariants calls it. The constructors in
+    `constructions` whose edges are valid by construction do, and a test
+    checks each of them against `build`.
+
+    `build` is the one validator of an edge list from outside. It reads the
+    edges once, in input order, and raises `ParameterError` at the first
+    bad edge; `cli.parse` relies on that order to name the offending line.
     """
 
     r: int
@@ -59,18 +64,21 @@ class Hypergraph:
             raise ParameterError(f"uniformity must be >= 1, got {r}")
         if n < 0:
             raise ParameterError(f"vertex count must be >= 0, got {n}")
-        normalized = []
+        # A dict keeps input order, so the final sort is linear on sorted input.
+        seen: dict[tuple[int, ...], None] = {}
         for e in edges:
             t = tuple(sorted(e))
-            if len(t) != r or len(set(t)) != r:
-                raise ParameterError(f"edge {t} is not a set of {r} distinct vertices")
-            if t and (t[0] < 0 or t[-1] >= n):
-                raise ParameterError(f"edge {t} has a vertex outside 0..{n - 1}")
-            normalized.append(t)
-        dedup = sorted(set(normalized))
-        if len(dedup) != len(normalized):
-            raise ParameterError("duplicate edges in input")
-        return Hypergraph(r, n, tuple(dedup))
+            if len(t) != r:
+                raise ParameterError(f"expected {r} vertices, got {len(t)}")
+            if len(set(t)) != r:
+                raise ParameterError(f"repeated vertex in edge {t}")
+            if t[0] < 0 or t[-1] >= n:
+                bad = t[0] if t[0] < 0 else t[-1]
+                raise ParameterError(f"vertex {bad} outside 0..{n - 1}")
+            if t in seen:
+                raise ParameterError(f"duplicate edge {t}")
+            seen[t] = None
+        return Hypergraph(r, n, tuple(sorted(seen)))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -95,10 +103,6 @@ class Hypergraph:
             for v in e:
                 inc[v].append(i)
         return tuple(map(tuple, inc))
-
-    @cached_property
-    def support(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.n) if self.degrees[v] > 0)
 
     @cached_property
     def pair_adjacency(self) -> tuple[int, ...]:

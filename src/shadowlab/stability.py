@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .bounds import at_least, at_most, shadow_bound
@@ -291,19 +291,19 @@ def brute_force_partition_fit(h: Hypergraph, ell: int, cap: int) -> int:
     return best
 
 
-def core_extract_cancellative(h: Hypergraph, eps: float) -> CoreExtraction:
-    """Threshold set of high-degree-sum shadow members and its vertex core,
-    with the claim statistics the cancellative argument tracks."""
+def _extract_core(h: Hypergraph, family: Family, eps: float, threshold_of):
+    """The part both core extractions share: check eps and freeness, keep
+    the shadow members whose degree sum reaches `threshold_of(r, |shadow|)`,
+    and take their vertices as the core U. Returns the extraction without
+    flags, |shadow|, |H[U]| and the least degree on U."""
     if not 0 < eps < 1:
         raise ParameterError(f"eps must be in (0,1), got {eps}")
-    require_free(h, Cancellative())
+    require_free(h, family)
     if not h.edges:
         raise EmptyInputError("core extraction needs a nonempty hypergraph")
-    r = h.r
     sh = shadow(h)
     p = len(sh)
-    rt = math.sqrt(eps)
-    threshold = ((r - 1) / r - 2 * r * rt) * p
+    threshold = threshold_of(h.r, p)
     members = tuple(s for s in sh.edges if sigma(h, s) >= threshold)
     core = tuple(sorted({v for s in members for v in s}))
     h_u = h.induced(core)
@@ -315,59 +315,54 @@ def core_extract_cancellative(h: Hypergraph, eps: float) -> CoreExtraction:
         "h_u_size": float(len(h_u)),
         "shadow_h_u_size": float(len(shadow(h_u))) if h_u.edges else 0.0,
     }
-    u_ref = r ** ((r - 2) / (r - 1)) * p ** (1 / (r - 1))
     min_deg = min((h.degrees[v] for v in core), default=math.inf)
+    return CoreExtraction(threshold, members, core, stats), p, len(h_u), min_deg
+
+
+def core_extract_cancellative(h: Hypergraph, eps: float) -> CoreExtraction:
+    """Threshold set of high-degree-sum shadow members and its vertex core,
+    with the claim statistics the cancellative argument tracks."""
+    ext, p, h_u_size, min_deg = _extract_core(
+        h, Cancellative(), eps,
+        lambda r, p: ((r - 1) / r - 2 * r * math.sqrt(eps)) * p,
+    )
+    r = h.r
+    rt = math.sqrt(eps)
+    u_ref = r ** ((r - 2) / (r - 1)) * p ** (1 / (r - 1))
     flags = (
-        _ge_flag("g-size-lower", len(members), (1 - 8 * r ** 2 * rt) * p),
+        _ge_flag("g-size-lower", len(ext.members), (1 - 8 * r ** 2 * rt) * p),
         _ge_flag("min-degree-on-core", min_deg, (1 / r - 3 * r ** 2 * rt) * p),
-        _le_flag("core-size-upper", len(core), (1 + 6 * r ** 3 * rt) * u_ref),
-        _ge_flag("core-size-lower", len(core), (1 - 35 * r ** 4 * rt) * u_ref),
+        _le_flag("core-size-upper", len(ext.core), (1 + 6 * r ** 3 * rt) * u_ref),
+        _ge_flag("core-size-lower", len(ext.core), (1 - 35 * r ** 4 * rt) * u_ref),
         _ge_flag(
             "induced-size-lower",
-            len(h_u),
+            h_u_size,
             (1 - 33 * r ** 4 * rt) * (p / r) ** (r / (r - 1)),
         ),
     )
-    return CoreExtraction(threshold, members, core, stats, flags)
+    return replace(ext, flags=flags)
 
 
 def core_extract_expansion(h: Hypergraph, ell: int, eps: float) -> CoreExtraction:
     """Threshold set for the clique-expansion argument, with the z window
     and the claim statistics reported as flags."""
-    if not 0 < eps < 1:
-        raise ParameterError(f"eps must be in (0,1), got {eps}")
-    require_free(h, Expansion(ell))
-    if not h.edges:
-        raise EmptyInputError("core extraction needs a nonempty hypergraph")
+    ext, p, h_u_size, min_deg = _extract_core(
+        h, Expansion(ell), eps,
+        lambda r, p: (1 - eps ** 0.25) * ((ell - r + 1) / ell) * (r - 1) * p,
+    )
     r = h.r
-    sh = shadow(h)
-    p = len(sh)
     q = eps ** 0.25
-    rt = math.sqrt(eps)
     density = (ell - r + 1) / ell
-    threshold = (1 - q) * density * (r - 1) * p
-    members = tuple(s for s in sh.edges if sigma(h, s) >= threshold)
-    core = tuple(sorted({v for s in members for v in s}))
-    h_u = h.induced(core)
+    rt = math.sqrt(eps)
     z = float(z_value(h, ell).z)
-    stats = {
-        "shadow_size": float(p),
-        "g_size": float(len(members)),
-        "g_fraction": len(members) / p,
-        "u_size": float(len(core)),
-        "h_u_size": float(len(h_u)),
-        "shadow_h_u_size": float(len(shadow(h_u))) if h_u.edges else 0.0,
-        "z": z,
-    }
     u_ref = ell * (p / math.comb(ell, r - 1)) ** (1 / (r - 1))
-    min_deg = min((h.degrees[v] for v in core), default=math.inf)
     flags = (
-        _ge_flag("g-size-lower", len(members), (1 - ell ** 2 * r * q) * p),
+        _ge_flag("g-size-lower", len(ext.members), (1 - ell ** 2 * r * q) * p),
         _ge_flag("min-degree-on-core", min_deg, (1 - 2 * q) * density * p),
-        _le_flag("core-size-upper", len(core), (1 + 4 * q) * u_ref),
+        _le_flag("core-size-upper", len(ext.core), (1 + 4 * q) * u_ref),
         _ge_flag(
             "induced-size-lower",
-            len(h_u),
+            h_u_size,
             (1 - 9 * ell ** 3 * r ** 2 * q)
             * math.comb(ell, r)
             * (p / math.comb(ell, r - 1)) ** (r / (r - 1)),
@@ -375,7 +370,7 @@ def core_extract_expansion(h: Hypergraph, ell: int, eps: float) -> CoreExtractio
         _ge_flag("z-window-lower", z, (1 - ell * r * rt) * density * p),
         _le_flag("z-window-upper", z, (1 + ell * r * rt) * density * p),
     )
-    return CoreExtraction(threshold, members, core, stats, flags)
+    return replace(ext, stats={**ext.stats, "z": z}, flags=flags)
 
 
 def stability_certificate(

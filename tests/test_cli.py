@@ -2,12 +2,16 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlab import Cancellative, Hypergraph, complete, turan
+from shadowlab import Cancellative, Hypergraph, complete, extremal, turan
 from shadowlab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -19,6 +23,9 @@ from shadowlab.cli import (
 )
 from shadowlab.errors import EdgeListParseError
 from shadowlab.extremal import random_free_graph
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_turan(path):
@@ -64,6 +71,47 @@ class TestEdgeListFormat:
     def test_missing_header(self):
         with pytest.raises(EdgeListParseError, match="header"):
             parse("# nothing but comments\n")
+
+    def test_duplicate_named_at_second_occurrence(self):
+        with pytest.raises(EdgeListParseError, match="line 4: duplicate"):
+            parse("3 4\n0 1 2\n# a comment\n2 1 0\n0 1 3\n")
+
+    @pytest.mark.parametrize("prefix", ["", "# comment\n\n", "\n# one\n# two\n"])
+    @pytest.mark.parametrize("header", ["0 4", "3 -1"])
+    def test_bad_header_at_its_line(self, header, prefix):
+        line = prefix.count("\n") + 1
+        with pytest.raises(EdgeListParseError, match=f"line {line}:") as info:
+            parse(f"{prefix}{header}\n0 1 2\n")
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("bad, words", [
+        ("0 1", "expected 3"),
+        ("0 1 2 3", "expected 3"),
+        ("0 1 1", "repeated vertex"),
+        ("0 1 4", "outside"),
+        ("-1 1 2", "outside"),
+    ])
+    def test_bad_edge_after_blanks_and_comments(self, bad, words):
+        doc = f"# edges\n3 4\n\n0 1 2\n# next\n   \n{bad}\n1 2 3\n"
+        with pytest.raises(EdgeListParseError, match=f"line 7: .*{words}"):
+            parse(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bad_line_named_anywhere(self, data):
+        """One bad line among valid edges, comments and blank lines is
+        reported at its own line."""
+        good = data.draw(st.lists(st.sampled_from(
+            ["0 1 2", "1 2 3", "0 2 4", "4 3 1", "# note", "", "   ", "#"]), max_size=8))
+        good = [line for i, line in enumerate(good)
+                if line.strip() in ("", "#", "# note") or line not in good[:i]]
+        bad = data.draw(st.sampled_from(
+            ["0 1", "0 0 1", "0 1 5", "-2 0 1", "0 1 2 3", "0 x 1"]))
+        at = data.draw(st.integers(0, len(good)))
+        lines = ["# shape", "3 5", *good[:at], bad, *good[at:]]
+        with pytest.raises(EdgeListParseError) as info:
+            parse("\n".join(lines) + "\n")
+        assert info.value.line == at + 3
 
     def test_serialize_parse_identity_on_constructions(self, t6, k4):
         for h in (t6, k4):
@@ -141,6 +189,26 @@ class TestCommands:
         results = load_report(out)["results"]
         assert results[0]["max_edges"] == 4
         assert results[1]["violations"] == []
+
+    @pytest.mark.parametrize("engine, visited", [("naive", 141), ("orderly", 7)])
+    def test_verify_bound_walks_the_labelled_graphs_once(
+            self, engine, visited, tmp_path, monkeypatch):
+        walks = []
+        labelled_walk = extremal._iter_free_edge_sets
+
+        def counted(*args, **kwargs):
+            walks.append(args)
+            return labelled_walk(*args, **kwargs)
+
+        monkeypatch.setattr(extremal, "_iter_free_edge_sets", counted)
+        out = tmp_path / "r.json"
+        assert run(["enumerate", "--n", "5", "--r", "3", "--family", "expansion",
+                    "--l", "3", "--engine", engine, "--verify-bound", "thm6",
+                    "--out", str(out)]) == EXIT_OK
+        assert len(walks) == 1
+        enum, swept = load_report(out)["results"]
+        assert (enum["engine"], enum["visited"], swept["visited"]) == (engine, visited, 141)
+        assert "enumeration" not in swept
 
     def test_extremal(self, tmp_path):
         out = tmp_path / "r.json"
@@ -352,6 +420,27 @@ def test_argv_fuzz_keeps_the_exit_code_contract(fuzz_dir, case):
     assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_BUDGET), argv
     if code == EXIT_CHECK_FAILED:
         assert json.loads(out.read_text())["results"], argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "--input", "{t6}", "--family", "cancellative"], EXIT_OK),
+    (["check", "--input", "{k4}", "--family", "cancellative"], EXIT_CHECK_FAILED),
+    (["check", "--input", "{missing}", "--family", "cancellative"], EXIT_USAGE),
+    (["enumerate", "--n", "9", "--r", "3", "--engine", "orderly"], EXIT_BUDGET),
+], ids=["tight-turan-bound", "k4-not-cancellative", "missing-input", "orderly-budget"])
+def test_module_entry_point_exit_codes(argv, code, tmp_path):
+    """`python -m shadowlab.cli` passes the exit code of `run` to the shell."""
+    paths = {"t6": tmp_path / "t6.hg", "k4": tmp_path / "k4.hg",
+             "missing": tmp_path / "missing.hg"}
+    paths["t6"].write_text(FUZZ_INPUTS["t6"])
+    paths["k4"].write_text(FUZZ_INPUTS["k4"])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shadowlab.cli", *(a.format(**paths) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestDeterminismAndRevalidate:

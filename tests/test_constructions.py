@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import (
     Cancellative,
@@ -161,6 +163,47 @@ class TestPerturb:
             perturb(t6, 0, 9, 0)
         with pytest.raises(ParameterError):
             perturb(t6, 0, 0, 13)  # only C(6,3) - 8 = 12 non-edges
+
+
+_turan_shape = st.integers(2, 5).flatmap(
+    lambda ell: st.tuples(st.integers(ell, 12), st.just(ell), st.integers(2, ell))
+)
+
+
+@st.composite
+def _graphs(draw):
+    """A random 2-graph on up to 7 vertices."""
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Hypergraph.build(2, n, edges)
+
+
+@st.composite
+def _perturbed(draw):
+    h = turan(*draw(_turan_shape))[0]
+    delete = draw(st.integers(0, len(h)))
+    add = draw(st.integers(0, math.comb(h.n, h.r) - len(h)))
+    return perturb(h, draw(st.integers(0, 2 ** 32)), delete, add).hypergraph
+
+
+_constructed = st.one_of(
+    st.integers(1, 8).flatmap(lambda n: st.integers(1, n).map(lambda r: complete(n, r))),
+    _turan_shape.map(lambda s: turan(*s)[0]),
+    st.tuples(_turan_shape, st.integers(0, 3)).map(
+        lambda s: turan_padded(s[0][0] + s[1], *s[0])),
+    st.tuples(_graphs(), st.integers(2, 5)).map(lambda s: expansion(*s)),
+    st.tuples(st.integers(1, 5), st.integers(2, 5)).map(
+        lambda s: clique_expansion_graph(*s)),
+    _perturbed(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_constructed)
+def test_constructors_equal_build(h):
+    """The constructors use the trusted path; `build` must agree with them."""
+    assert Hypergraph.build(h.r, h.n, h.edges) == h
 
 
 class TestPrng:
