@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import sys
 import time
-from fractions import Fraction
 from typing import Any, Optional
 
 from . import __version__
@@ -43,15 +43,16 @@ EXIT_BUDGET = 3
 def parse(document: str) -> Hypergraph:
     """Parse an edge-list document: header 'r n', one edge per line.
 
-    Blank lines and lines starting with '#' are skipped. The lines stream
-    into `Hypergraph.build`, which checks the header values and every edge
-    and raises at the first bad one; its error is reported at the line read
-    last, which is the header line for a bad r or n."""
+    Lines end at LF, CRLF or CR; blank lines and lines starting with '#'
+    are skipped. The lines stream lazily into `Hypergraph.build`, which
+    checks the header values and every edge and raises at the first bad
+    one; its error is reported at the line read last, which is the header
+    line for a bad r or n."""
     lineno = 0
 
     def rows():
         nonlocal lineno
-        for lineno, raw in enumerate(document.splitlines(), start=1):
+        for lineno, raw in enumerate(io.StringIO(document, newline=None), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -84,18 +85,14 @@ def _jsonable(value: Any) -> Any:
             f.name: _jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
-    if isinstance(value, Fraction):
-        return {"numerator": value.numerator, "denominator": value.denominator}
-    if isinstance(value, float):
-        return float(f"{value:.17g}") if math.isfinite(value) else str(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     if isinstance(value, bytes):
         return value.decode("ascii")
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
     return value
 
 

@@ -4,8 +4,10 @@ extremal numbers, and bound sweeps.
 Two engines exist on purpose: the naive engine walks every labeled edge
 subset (with monotone freeness pruning) and acts as the trusted oracle; the
 orderly engine builds isomorphism classes level by level through canonical
-deduplication. Canonicalization is in-house permutation search with color
-refinement pruning, so it stays self-contained and testable.
+deduplication, testing each child edge on its parent's
+`IncrementalFreeChecker` as the labeled walk and the sampler test each new
+edge. Canonicalization is in-house permutation search with color refinement
+pruning, so it stays self-contained and testable.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .bounds import at_least, shadow_bound
 from .errors import ParameterError, ResourceBudgetError
-from .forbidden import Cancellative, Expansion, Family, IncrementalFreeChecker, is_free
+from .forbidden import Cancellative, Expansion, Family, IncrementalFreeChecker
 from .hypercore import Hypergraph
 
 NAIVE_EDGE_BUDGET = 24      # naive engine requires C(n, r) <= this
@@ -127,8 +130,9 @@ def permutation_isomorphism_oracle(a: Hypergraph, b: Hypergraph) -> bool:
     return False
 
 
-def _candidate_edges(n: int, r: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(n), r))
+def _candidates(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
+    """The r-subsets of range(n) in lexicographic order, with bitmasks."""
+    return [(e, sum(1 << v for v in e)) for e in itertools.combinations(range(n), r)]
 
 
 def _check_shape(n: int, r: int) -> None:
@@ -148,10 +152,9 @@ def enumerate_free(
     n: int,
     r: int,
     family: Optional[Family],
-    visitor: Optional[Callable[[Hypergraph], None]] = None,
     engine: str = "naive",
 ) -> EnumerationStats:
-    """Visit every family-free r-graph on n vertices.
+    """Count every family-free r-graph on n vertices by edge count.
 
     The naive engine visits each labeled graph once; the orderly engine
     visits one canonical representative per isomorphism class.
@@ -159,24 +162,16 @@ def enumerate_free(
     _check_shape(n, r)
     if engine == "naive":
         _check_naive_budget(n, r)
-        counts: dict[int, int] = {}
-        for edges in _iter_free_edge_sets(n, r, family):
-            counts[len(edges)] = counts.get(len(edges), 0) + 1
-            if visitor is not None:
-                visitor(Hypergraph(r, n, edges))
-        return _stats("naive", counts)
-    if engine == "orderly":
+        graphs = _iter_free_edge_sets(n, r, family)
+    elif engine == "orderly":
         if n > ORDERLY_VERTEX_BUDGET:
             raise ResourceBudgetError(
                 f"orderly engine capped at n <= {ORDERLY_VERTEX_BUDGET}, got {n}"
             )
-        counts = {}
-        for rep in enumerate_free_classes(n, r, family):
-            counts[len(rep)] = counts.get(len(rep), 0) + 1
-            if visitor is not None:
-                visitor(rep)
-        return _stats("orderly", counts)
-    raise ParameterError(f"unknown engine {engine!r}")
+        graphs = enumerate_free_classes(n, r, family)
+    else:
+        raise ParameterError(f"unknown engine {engine!r}")
+    return _stats(engine, Counter(map(len, graphs)))
 
 
 def _stats(engine: str, counts: dict[int, int]) -> EnumerationStats:
@@ -199,10 +194,10 @@ def _iter_free_edge_sets(
     violation (freeness is monotone under edge removal). Yields every free
     edge set once, in preorder. `on_push(t)` and `on_pop(t)` are called with
     the candidate index t as an edge joins or leaves the current set."""
-    candidates = _candidate_edges(n, r)
+    candidates = _candidates(n, r)
+    masks = [m for _, m in candidates]
     total = len(candidates)
     checker = IncrementalFreeChecker(n, r, family) if family is not None else None
-    masks = [sum(1 << v for v in e) for e in candidates]
     edges: list[tuple[int, ...]] = []
     picked: list[int] = []  # candidate index of each edge in `edges`
     t = 0  # next candidate to try at the current depth
@@ -216,7 +211,7 @@ def _iter_free_edge_sets(
                 checker.push(masks[t])
             if on_push is not None:
                 on_push(t)
-            edges.append(candidates[t])
+            edges.append(candidates[t][0])
             picked.append(t)
             yield tuple(edges)
             t += 1
@@ -242,17 +237,20 @@ def enumerate_free_classes(
     empty = Hypergraph(r, n, ())
     out = [empty]
     level = {canonical_form(empty): empty}
-    candidates = _candidate_edges(n, r)
+    candidates = _candidates(n, r)
     while level:
         next_level: dict[bytes, Hypergraph] = {}
         for rep in level.values():
-            have = set(rep.edges)
-            for e in candidates:
-                if e in have:
+            have = set(rep.edge_masks)
+            checker = None
+            if family is not None:  # each prefix of a free parent is free
+                checker = IncrementalFreeChecker(n, r, family)
+                for m in rep.edge_masks:
+                    checker.push(m)
+            for e, m in candidates:
+                if m in have or (checker is not None and checker.would_violate(m)):
                     continue
-                child = Hypergraph(r, n, tuple(sorted(have | {e})))
-                if family is not None and not is_free(child, family):
-                    continue
+                child = Hypergraph(r, n, tuple(sorted(rep.edges + (e,))))
                 key = canonical_form(child)
                 if key not in next_level:
                     next_level[key] = child
@@ -314,7 +312,7 @@ def verify_bound_over_enumeration(
         raise ParameterError("thm6 sweep needs ell")
     bound_family = _SWEEP_BOUNDS[bound_kind](ell)
     _check_naive_budget(n, r)
-    subsets = [tuple(itertools.combinations(e, r - 1)) for e in _candidate_edges(n, r)]
+    subsets = [tuple(itertools.combinations(e, r - 1)) for e, _ in _candidates(n, r)]
 
     bound_cache: dict[int, float] = {}
 
@@ -374,16 +372,15 @@ def random_free_graph(
     edge that preserves freeness, until target_edges edges are placed."""
     _check_shape(n, r)
     rng = random.Random(seed)
-    candidates = _candidate_edges(n, r)
+    candidates = _candidates(n, r)
     rng.shuffle(candidates)
     if target_edges is None:
         target_edges = len(candidates)
     checker = IncrementalFreeChecker(n, r, family)
     kept: list[tuple[int, ...]] = []
-    for e in candidates:
+    for e, m in candidates:
         if len(kept) >= target_edges:
             break
-        m = sum(1 << v for v in e)
         if not checker.would_violate(m):
             checker.push(m)
             kept.append(e)

@@ -3,8 +3,8 @@
 The proofs behind the stability theorems are asymptotic; here their
 quantifiers are made concrete per instance. Threshold sets use the papers'
 exact expressions with the caller's epsilon, and every claim-level
-inequality becomes a reported flag rather than an assumption: instances far
-from extremal may legally violate them.
+inequality becomes a reported `Inequality` rather than an assumption:
+instances far from extremal may legally violate them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .bounds import at_least, at_most, shadow_bound
+from .bounds import Inequality, InequalityReport, at_least, at_most, shadow_bound
 from .errors import EmptyInputError, ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, require_free
 from .hypercore import Hypergraph, shadow, sigma, z_value
@@ -37,27 +37,16 @@ class PartitionFit:
 
 
 @dataclass(frozen=True)
-class ClaimFlag:
-    """One claim-level inequality: measured value vs reference threshold."""
-
-    identifier: str
-    value: float
-    reference: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class CoreExtraction:
-    """Threshold set G inside the shadow and its vertex core U."""
+    """Threshold set G inside the shadow and its vertex core U. Each flag
+    states a claim as lhs <= rhs: an upper claim as (value, reference), a
+    lower claim as (reference, value)."""
 
     threshold: float
     members: tuple[tuple[int, ...], ...]
     core: tuple[int, ...]
     stats: dict[str, float]
-    flags: tuple[ClaimFlag, ...] = field(default=())
-
-    def flag(self, identifier: str) -> ClaimFlag:
-        return next(f for f in self.flags if f.identifier == identifier)
+    flags: InequalityReport = InequalityReport(())
 
 
 @dataclass(frozen=True)
@@ -80,14 +69,6 @@ class StabilityCertificate:
     @property
     def passed(self) -> bool:
         return self.status == "ok"
-
-
-def _ge_flag(identifier: str, value: float, reference: float) -> ClaimFlag:
-    return ClaimFlag(identifier, value, reference, at_least(value, reference))
-
-
-def _le_flag(identifier: str, value: float, reference: float) -> ClaimFlag:
-    return ClaimFlag(identifier, value, reference, at_most(value, reference))
 
 
 def partition_fit(
@@ -329,17 +310,19 @@ def core_extract_cancellative(h: Hypergraph, eps: float) -> CoreExtraction:
     r = h.r
     rt = math.sqrt(eps)
     u_ref = r ** ((r - 2) / (r - 1)) * p ** (1 / (r - 1))
-    flags = (
-        _ge_flag("g-size-lower", len(ext.members), (1 - 8 * r ** 2 * rt) * p),
-        _ge_flag("min-degree-on-core", min_deg, (1 / r - 3 * r ** 2 * rt) * p),
-        _le_flag("core-size-upper", len(ext.core), (1 + 6 * r ** 3 * rt) * u_ref),
-        _ge_flag("core-size-lower", len(ext.core), (1 - 35 * r ** 4 * rt) * u_ref),
-        _ge_flag(
-            "induced-size-lower",
-            h_u_size,
-            (1 - 33 * r ** 4 * rt) * (p / r) ** (r / (r - 1)),
-        ),
-    )
+    g, u = len(ext.members), len(ext.core)
+    g_low = (1 - 8 * r ** 2 * rt) * p
+    deg_low = (1 / r - 3 * r ** 2 * rt) * p
+    u_high = (1 + 6 * r ** 3 * rt) * u_ref
+    u_low = (1 - 35 * r ** 4 * rt) * u_ref
+    h_u_low = (1 - 33 * r ** 4 * rt) * (p / r) ** (r / (r - 1))
+    flags = InequalityReport((
+        Inequality("g-size-lower", g_low, g, at_least(g, g_low)),
+        Inequality("min-degree-on-core", deg_low, min_deg, at_least(min_deg, deg_low)),
+        Inequality("core-size-upper", u, u_high, at_most(u, u_high)),
+        Inequality("core-size-lower", u_low, u, at_least(u, u_low)),
+        Inequality("induced-size-lower", h_u_low, h_u_size, at_least(h_u_size, h_u_low)),
+    ))
     return replace(ext, flags=flags)
 
 
@@ -356,20 +339,25 @@ def core_extract_expansion(h: Hypergraph, ell: int, eps: float) -> CoreExtractio
     rt = math.sqrt(eps)
     z = float(z_value(h, ell).z)
     u_ref = ell * (p / math.comb(ell, r - 1)) ** (1 / (r - 1))
-    flags = (
-        _ge_flag("g-size-lower", len(ext.members), (1 - ell ** 2 * r * q) * p),
-        _ge_flag("min-degree-on-core", min_deg, (1 - 2 * q) * density * p),
-        _le_flag("core-size-upper", len(ext.core), (1 + 4 * q) * u_ref),
-        _ge_flag(
-            "induced-size-lower",
-            h_u_size,
-            (1 - 9 * ell ** 3 * r ** 2 * q)
-            * math.comb(ell, r)
-            * (p / math.comb(ell, r - 1)) ** (r / (r - 1)),
-        ),
-        _ge_flag("z-window-lower", z, (1 - ell * r * rt) * density * p),
-        _le_flag("z-window-upper", z, (1 + ell * r * rt) * density * p),
+    g, u = len(ext.members), len(ext.core)
+    g_low = (1 - ell ** 2 * r * q) * p
+    deg_low = (1 - 2 * q) * density * p
+    u_high = (1 + 4 * q) * u_ref
+    h_u_low = (
+        (1 - 9 * ell ** 3 * r ** 2 * q)
+        * math.comb(ell, r)
+        * (p / math.comb(ell, r - 1)) ** (r / (r - 1))
     )
+    z_low = (1 - ell * r * rt) * density * p
+    z_high = (1 + ell * r * rt) * density * p
+    flags = InequalityReport((
+        Inequality("g-size-lower", g_low, g, at_least(g, g_low)),
+        Inequality("min-degree-on-core", deg_low, min_deg, at_least(min_deg, deg_low)),
+        Inequality("core-size-upper", u, u_high, at_most(u, u_high)),
+        Inequality("induced-size-lower", h_u_low, h_u_size, at_least(h_u_size, h_u_low)),
+        Inequality("z-window-lower", z_low, z, at_least(z, z_low)),
+        Inequality("z-window-upper", z, z_high, at_most(z, z_high)),
+    ))
     return replace(ext, stats={**ext.stats, "z": z}, flags=flags)
 
 

@@ -31,8 +31,8 @@ from shadowlab.bounds import (
 )
 from shadowlab.cli import run, serialize
 from shadowlab.extremal import (
+    _iter_free_edge_sets,
     canonical_form,
-    enumerate_free,
     enumerate_free_classes,
     extremal_search,
     permutation_isomorphism_oracle,
@@ -184,11 +184,10 @@ def test_criterion_11_oracle_equivalences():
     # enumeration engines agree on isomorphism classes
     for family in (None, Cancellative(), Expansion(3)):
         for n in (3, 4, 5):
-            naive = set()
-            enumerate_free(
-                n, 3, family,
-                visitor=lambda h: naive.add(canonical_form(h)),
-            )
+            naive = {
+                canonical_form(Hypergraph(3, n, edges))
+                for edges in _iter_free_edge_sets(n, 3, family)
+            }
             orderly = {
                 canonical_form(h)
                 for h in enumerate_free_classes(n, 3, family)

@@ -113,6 +113,13 @@ class TestEdgeListFormat:
             parse("\n".join(lines) + "\n")
         assert info.value.line == at + 3
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends(self, newline):
+        lf = "# shape\n3 5\n\n0 1 2\n   \n1 3 4\n"
+        assert parse(lf.replace("\n", newline)) == parse(lf)
+        with pytest.raises(EdgeListParseError, match="line 4: .*repeated vertex"):
+            parse(newline.join(["3 5", "0 1 2", "# note", "0 1 1", "1 2 3"]))
+
     def test_serialize_parse_identity_on_constructions(self, t6, k4):
         for h in (t6, k4):
             assert parse(serialize(h)) == h
@@ -231,7 +238,7 @@ class TestCommands:
         run(["stability", "--input", hg, "--family", "expansion", "--l", "3",
              "--eps", "0.05", "--delta", "0.05", "--out", str(out)])
         text = out.read_text()
-        assert json.loads(text)  # valid JSON despite rationals inside
+        assert json.loads(text)  # valid JSON: z is reported as a float
 
 
 class TestExitCodes:

@@ -2,10 +2,20 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from shadowlab import Cancellative, Expansion, Hypergraph, complete, fano, shadow, turan
+from shadowlab import (
+    Cancellative,
+    Expansion,
+    Hypergraph,
+    complete,
+    fano,
+    forbidden,
+    shadow,
+    turan,
+)
 from shadowlab.bounds import (
     TOLERANCE,
     cancellative_bound,
@@ -107,13 +117,11 @@ class TestEnumeration:
             enumerate_free(9, 3, Cancellative(), engine="orderly")
 
     def test_orderly_engine_visits_the_classes(self):
-        seen = []
-        stats = enumerate_free(
-            5, 3, Cancellative(), visitor=seen.append, engine="orderly"
-        )
-        assert seen == enumerate_free_classes(5, 3, Cancellative())
-        assert stats.engine == "orderly" and stats.visited == len(seen)
-        assert stats.max_edges == max(len(h) for h in seen)
+        reps = enumerate_free_classes(5, 3, Cancellative())
+        stats = enumerate_free(5, 3, Cancellative(), engine="orderly")
+        assert stats.engine == "orderly" and stats.visited == len(reps)
+        assert stats.max_edges == max(len(h) for h in reps)
+        assert dict(stats.counts_by_edges) == Counter(len(h) for h in reps)
 
     @pytest.mark.parametrize("n, r", [(-1, 3), (3, 0), (3, -1)])
     @pytest.mark.parametrize("entry", [
@@ -128,17 +136,36 @@ class TestEnumeration:
         with pytest.raises(ParameterError):
             entry(n, r)
 
-    @pytest.mark.parametrize("family", [None, Cancellative(), Expansion(3)])
+    @pytest.mark.parametrize(
+        "family", [None, Cancellative(), Expansion(3), Expansion(4)]
+    )
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_engines_agree(self, n, family):
-        naive_keys = set()
-        enumerate_free(
-            n, 3, family, visitor=lambda h: naive_keys.add(canonical_form(h))
-        )
+        naive_keys = {
+            canonical_form(Hypergraph(3, n, edges))
+            for edges in _iter_free_edge_sets(n, 3, family)
+        }
         orderly_keys = {
             canonical_form(h) for h in enumerate_free_classes(n, 3, family)
         }
         assert naive_keys == orderly_keys
+
+    @pytest.mark.parametrize("family", [Cancellative(), Expansion(3)])
+    def test_orderly_engine_runs_no_batch_detector(self, family, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("batch detector called during enumeration")
+
+        monkeypatch.setattr(forbidden, "find_cancellative_violation", refuse)
+        monkeypatch.setattr(forbidden, "find_clique_expansion", refuse)
+        reps = enumerate_free_classes(5, 3, family)
+        monkeypatch.undo()
+        assert all(forbidden.is_free(h, family) for h in reps)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_orderly_engine_rejects_small_ell(self, n):
+        # n = 2 has no candidate edge, so only the parent's checker can raise.
+        with pytest.raises(ParameterError):
+            enumerate_free_classes(n, 3, Expansion(2))
 
     def test_orderly_visits_are_free_representatives(self):
         from shadowlab.forbidden import is_free

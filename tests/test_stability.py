@@ -142,11 +142,11 @@ class TestCoreExtractCancellative:
         core = core_extract_cancellative(t6, 0.01)
         assert len(core.members) == 12
         assert core.core == (0, 1, 2, 3, 4, 5)
-        assert all(f.satisfied for f in core.flags)
+        assert core.flags.all_hold
 
     def test_flag_identifiers(self, t6):
         core = core_extract_cancellative(t6, 0.01)
-        assert {f.identifier for f in core.flags} == {
+        assert {f.identifier for f in core.flags.items} == {
             "g-size-lower",
             "min-degree-on-core",
             "core-size-upper",
@@ -185,8 +185,9 @@ class TestCoreExtractExpansion:
         core = core_extract_expansion(t6, 3, 0.01)
         assert core.core == (0, 1, 2, 3, 4, 5)
         assert core.stats["z"] == pytest.approx(4.0)
-        assert core.flag("z-window-lower").satisfied
-        assert core.flag("z-window-upper").satisfied
+        lower, upper = core.flags.get("z-window-lower"), core.flags.get("z-window-upper")
+        assert lower.holds and lower.rhs == core.stats["z"]
+        assert upper.holds and upper.lhs == core.stats["z"]
 
     def test_padding_excluded_from_core(self):
         core = core_extract_expansion(turan_padded(10, 6, 3, 3), 3, 0.01)
@@ -194,7 +195,7 @@ class TestCoreExtractExpansion:
 
     def test_tight_point_smoke(self, k4):
         core = core_extract_expansion(k4, 4, 0.05)
-        assert core.members and core.flags
+        assert core.members and core.flags.items
 
     def test_rejects_covered_clique(self):
         with pytest.raises(PreconditionError):
