@@ -40,26 +40,31 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def parse(document: str) -> Hypergraph:
-    """Parse an edge-list document: header 'r n', one edge per line.
+def parse(data: bytes) -> Hypergraph:
+    """Parse a UTF-8 edge-list document: header 'r n', one edge per line.
 
-    Lines end at LF, CRLF or CR; blank lines and lines starting with '#'
-    are skipped. The lines stream lazily into `Hypergraph.build`, which
-    checks the header values and every edge and raises at the first bad
-    one; its error is reported at the line read last, which is the header
-    line for a bad r or n."""
+    Lines are decoded as they are read and end at LF, CRLF or CR; blank
+    lines and lines starting with '#' are skipped. The lines stream lazily
+    into `Hypergraph.build`, which checks the header values and every edge
+    and raises at the first bad one; its error is reported at the line read
+    last, which is the header line for a bad r or n."""
     lineno = 0
 
     def rows():
         nonlocal lineno
-        for lineno, raw in enumerate(io.StringIO(document, newline=None), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                yield tuple(int(tok) for tok in line.split())
-            except ValueError:
-                raise EdgeListParseError(lineno, f"non-integer token in {line!r}")
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
+        try:
+            for lineno, raw in enumerate(text, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    yield tuple(int(tok) for tok in line.split())
+                except ValueError:
+                    raise EdgeListParseError(lineno, f"non-integer token in {line!r}")
+        except UnicodeDecodeError:
+            data.decode()  # names the bad byte's file offset, not its chunk's
+            raise
 
     lines = rows()
     header = next(lines, None)
@@ -115,7 +120,7 @@ def _family(name: str, ell: Optional[int], r: int):
 def _read_input(path: str) -> tuple[Hypergraph, str]:
     with open(path, "rb") as fh:
         data = fh.read()
-    return parse(data.decode()), hashlib.sha256(data).hexdigest()
+    return parse(data), hashlib.sha256(data).hexdigest()
 
 
 def _write_report(args, command: list[str], digest: Optional[str], results: list, t0: float) -> None:
@@ -196,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--cap", type=int)
     p.add_argument("--mode", default="exact", choices=["exact", "heuristic"])
     p.add_argument("--seed", type=int, default=0)
     common(p)
@@ -308,8 +312,7 @@ def _cmd_stability(args) -> tuple[int, Optional[str], list]:
     h, digest = _read_input(args.input)
     fam = _family(args.family, args.l, h.r)
     cert = stability_certificate(
-        h, fam, args.eps, args.delta, mode=args.mode, seed=args.seed,
-        cap=args.cap,
+        h, fam, args.eps, args.delta, mode=args.mode, seed=args.seed
     )
     payload = {"type": "certificate", "passed": cert.passed, **_jsonable(cert)}
     if cert.hypothesis_met and not cert.passed:

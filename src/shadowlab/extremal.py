@@ -238,13 +238,12 @@ def enumerate_free_classes(
     out = [empty]
     level = {canonical_form(empty): empty}
     candidates = _candidates(n, r)
+    checker = IncrementalFreeChecker(n, r, family) if family is not None else None
     while level:
         next_level: dict[bytes, Hypergraph] = {}
         for rep in level.values():
             have = set(rep.edge_masks)
-            checker = None
-            if family is not None:  # each prefix of a free parent is free
-                checker = IncrementalFreeChecker(n, r, family)
+            if checker is not None:  # each prefix of a free parent is free
                 for m in rep.edge_masks:
                     checker.push(m)
             for e, m in candidates:
@@ -254,6 +253,9 @@ def enumerate_free_classes(
                 key = canonical_form(child)
                 if key not in next_level:
                     next_level[key] = child
+            if checker is not None:
+                for _ in rep.edge_masks:
+                    checker.pop()
         for key in sorted(next_level):
             out.append(next_level[key])
         level = next_level

@@ -204,11 +204,13 @@ class IncrementalFreeChecker:
             self.adj = [0] * n
             # cover[u * n + v]: stored edges containing the pair u < v.
             self.cover = [0] * (n * n)
-        else:
+        elif isinstance(family, Cancellative):
             # Counts of the xors of all stored pairs, and of the even-size
             # sub-masks of the stored edges.
             self.xors: dict[int, int] = {}
             self.inside: dict[int, int] = {}
+        else:
+            raise ParameterError(f"no forbidden family {family!r}")
 
     def _parts_of(self, mask: int) -> tuple:
         parts = self._parts.get(mask)

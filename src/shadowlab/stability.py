@@ -81,23 +81,25 @@ def partition_fit(
     """Minimum edge removals to leave a subgraph of a complete ell-partite
     r-graph on at most `cap` vertices.
 
-    Exact mode is branch-and-bound over vertex labelings (true minimum);
-    heuristic mode is greedy seeding plus single-vertex-move local search
-    and returns an upper bound flagged non-optimal.
+    Both modes run the seeded heuristic: greedy seeding in (-degree, v)
+    order plus single-vertex-move local search. Heuristic mode returns its
+    labelling as an upper bound flagged non-optimal; exact mode hands it to
+    branch-and-bound over vertex labelings as the incumbent to beat.
     """
     if ell < 1 or cap < 0:
         raise ParameterError(f"need ell >= 1 and cap >= 0, got ell={ell}, cap={cap}")
-    if mode == "exact":
-        if ell ** h.n > EXACT_STATE_BUDGET:
-            raise ResourceBudgetError(
-                f"exact partition fit capped at ell^n <= {EXACT_STATE_BUDGET}"
-            )
-        labels, removed = _fit_branch_and_bound(h, ell, cap, seed)
-        return _fit_result(h, ell, labels, removed, optimal=True)
-    if mode == "heuristic":
-        labels, removed = _fit_heuristic(h, ell, cap, seed, restarts=20)
-        return _fit_result(h, ell, labels, removed, optimal=False)
-    raise ParameterError(f"unknown mode {mode!r}")
+    if mode not in ("exact", "heuristic"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    exact = mode == "exact"
+    if exact and ell ** h.n > EXACT_STATE_BUDGET:
+        raise ResourceBudgetError(
+            f"exact partition fit capped at ell^n <= {EXACT_STATE_BUDGET}"
+        )
+    order = sorted(range(h.n), key=lambda v: (-h.degrees[v], v))
+    labels, removed = _fit_heuristic(h, ell, cap, order, seed, 4 if exact else 20)
+    if exact:
+        labels, removed = _fit_branch_and_bound(h, ell, cap, order, labels, removed)
+    return _fit_result(h, ell, labels, removed, optimal=exact)
 
 
 OUT = -1
@@ -125,15 +127,13 @@ def _removed_count(h: Hypergraph, labels) -> int:
     return removed
 
 
-def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, seed: int):
+def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, order, best_labels, best):
+    """Depth-first labelling of `order`, pruned by the incumbent
+    (`best_labels`, `best`); returns an optimal labelling and its removals."""
     n = h.n
     allow_out = n > cap
-    order = sorted(range(n), key=lambda v: (-h.degrees[v], v))
     incident = h.incidence
     edge_verts = h.edges
-
-    best_labels, best = _fit_heuristic(h, ell, cap, seed, restarts=4)
-
     labels = [OUT] * n
     used_mask = [0] * len(edge_verts)   # labels already present per edge
     violated = [False] * len(edge_verts)
@@ -184,7 +184,9 @@ def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, seed: int):
     return best_labels, best
 
 
-def _fit_heuristic(h: Hypergraph, ell: int, cap: int, seed: int, restarts: int):
+def _fit_heuristic(h: Hypergraph, ell: int, cap: int, order, seed: int, restarts: int):
+    """Greedy seeding of `order[:cap]` (of a seeded shuffle of `order` after
+    the first restart), then local search; the best labels and removals."""
     n = h.n
     rng = random.Random(seed)
     # links[v] = the other vertices of each edge through v
@@ -194,19 +196,14 @@ def _fit_heuristic(h: Hypergraph, ell: int, cap: int, seed: int, restarts: int):
     ]
     best_labels = None
     best = len(h.edges) + 1
-    base_order = sorted(range(n), key=lambda v: (-h.degrees[v], v))
-    for attempt in range(max(1, restarts)):
-        order = base_order.copy()
+    for attempt in range(restarts):
+        seeding = order.copy()
         if attempt > 0:
-            rng.shuffle(order)
+            rng.shuffle(seeding)
         labels = [OUT] * n
-        in_count = 0
-        for v in order:
-            if in_count >= cap:
-                continue
+        for v in seeding[:cap]:
             costs = _local_cost(links[v], labels, ell, out_breaks=False)
             labels[v] = costs.index(min(costs))
-            in_count += 1
         labels, removed = _local_search(h, links, labels, ell)
         if removed < best:
             best = removed
@@ -368,7 +365,6 @@ def stability_certificate(
     delta: float,
     mode: str = "exact",
     seed: int = 0,
-    cap: Optional[int] = None,
 ) -> StabilityCertificate:
     """Per-instance check of the stability conclusion shape: solve x from
     the shadow, test the near-extremal hypothesis, extract the core, fit an
@@ -386,28 +382,21 @@ def stability_certificate(
     x, bound = shadow_bound(family, p, r)
     ell_parts = r if isinstance(family, Cancellative) else family.ell
     removed_cap = delta * x ** r
-    eps1 = {
-        "lemma-statement": 35 * r ** 4 * math.sqrt(eps),
-        "theorem-invocation": 40 * r ** (2 * r) * math.sqrt(eps),
-        "induction-variant": 35 * r ** 4 * eps ** 0.25,
-    }
-    hypothesis_met = at_least(len(h), (1 - eps) * bound)
-    if not hypothesis_met:
-        return StabilityCertificate(
-            str(family), ell_parts, p, x, bound, len(h), eps, delta,
-            hypothesis_met=False, status="hypothesis-not-met",
-            removed_cap=removed_cap, eps1_references=eps1,
-        )
+    cert = StabilityCertificate(
+        str(family), ell_parts, p, x, bound, len(h), eps, delta,
+        hypothesis_met=False, status="hypothesis-not-met",
+        removed_cap=removed_cap, eps1_references={
+            "lemma-statement": 35 * r ** 4 * math.sqrt(eps),
+            "theorem-invocation": 40 * r ** (2 * r) * math.sqrt(eps),
+            "induction-variant": 35 * r ** 4 * eps ** 0.25,
+        },
+    )
+    if not at_least(len(h), (1 - eps) * bound):
+        return cert
     if isinstance(family, Cancellative):
         core = core_extract_cancellative(h, eps)
     else:
         core = core_extract_expansion(h, family.ell, eps)
-    fit = partition_fit(
-        h, ell_parts, math.ceil(x) if cap is None else cap, mode=mode, seed=seed
-    )
+    fit = partition_fit(h, ell_parts, math.ceil(x), mode=mode, seed=seed)
     status = "ok" if at_most(fit.removed, removed_cap) else "removed-exceeds-cap"
-    return StabilityCertificate(
-        str(family), ell_parts, p, x, bound, len(h), eps, delta,
-        hypothesis_met=True, status=status, removed_cap=removed_cap,
-        core=core, fit=fit, eps1_references=eps1,
-    )
+    return replace(cert, hypothesis_met=True, status=status, core=core, fit=fit)

@@ -1,5 +1,6 @@
 """CLI surface: edge-list format, reports, exit codes, revalidation."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -40,48 +41,48 @@ def load_report(path):
 class TestEdgeListFormat:
     def test_round_trip(self):
         text = "3 4\n0 1 2\n0 1 3\n"
-        h = parse(text)
+        h = parse(text.encode())
         assert len(h) == 2
         assert serialize(h) == text
 
     def test_comments_and_blanks_ignored(self):
-        h = parse("# header next\n\n3 4\n# an edge\n0 1 2\n")
+        h = parse(b"# header next\n\n3 4\n# an edge\n0 1 2\n")
         assert h.edges == ((0, 1, 2),)
 
     def test_repeated_vertex(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
-            parse("3 4\n0 1 1\n")
+            parse(b"3 4\n0 1 1\n")
 
     def test_out_of_range_vertex(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
-            parse("3 4\n0 1 5\n")
+            parse(b"3 4\n0 1 5\n")
 
     def test_duplicate_edge(self):
         with pytest.raises(EdgeListParseError, match="duplicate"):
-            parse("3 4\n0 1 2\n2 1 0\n")
+            parse(b"3 4\n0 1 2\n2 1 0\n")
 
     def test_bad_arity(self):
         with pytest.raises(EdgeListParseError, match="expected 3"):
-            parse("3 4\n0 1\n")
+            parse(b"3 4\n0 1\n")
 
     def test_non_integer_token(self):
         with pytest.raises(EdgeListParseError, match="non-integer"):
-            parse("3 4\n0 one 2\n")
+            parse(b"3 4\n0 one 2\n")
 
     def test_missing_header(self):
         with pytest.raises(EdgeListParseError, match="header"):
-            parse("# nothing but comments\n")
+            parse(b"# nothing but comments\n")
 
     def test_duplicate_named_at_second_occurrence(self):
         with pytest.raises(EdgeListParseError, match="line 4: duplicate"):
-            parse("3 4\n0 1 2\n# a comment\n2 1 0\n0 1 3\n")
+            parse(b"3 4\n0 1 2\n# a comment\n2 1 0\n0 1 3\n")
 
     @pytest.mark.parametrize("prefix", ["", "# comment\n\n", "\n# one\n# two\n"])
     @pytest.mark.parametrize("header", ["0 4", "3 -1"])
     def test_bad_header_at_its_line(self, header, prefix):
         line = prefix.count("\n") + 1
         with pytest.raises(EdgeListParseError, match=f"line {line}:") as info:
-            parse(f"{prefix}{header}\n0 1 2\n")
+            parse(f"{prefix}{header}\n0 1 2\n".encode())
         assert info.value.line == line
 
     @pytest.mark.parametrize("bad, words", [
@@ -94,7 +95,7 @@ class TestEdgeListFormat:
     def test_bad_edge_after_blanks_and_comments(self, bad, words):
         doc = f"# edges\n3 4\n\n0 1 2\n# next\n   \n{bad}\n1 2 3\n"
         with pytest.raises(EdgeListParseError, match=f"line 7: .*{words}"):
-            parse(doc)
+            parse(doc.encode())
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -110,19 +111,19 @@ class TestEdgeListFormat:
         at = data.draw(st.integers(0, len(good)))
         lines = ["# shape", "3 5", *good[:at], bad, *good[at:]]
         with pytest.raises(EdgeListParseError) as info:
-            parse("\n".join(lines) + "\n")
+            parse(("\n".join(lines) + "\n").encode())
         assert info.value.line == at + 3
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_crlf_and_cr_line_ends(self, newline):
         lf = "# shape\n3 5\n\n0 1 2\n   \n1 3 4\n"
-        assert parse(lf.replace("\n", newline)) == parse(lf)
+        assert parse(lf.replace("\n", newline).encode()) == parse(lf.encode())
         with pytest.raises(EdgeListParseError, match="line 4: .*repeated vertex"):
-            parse(newline.join(["3 5", "0 1 2", "# note", "0 1 1", "1 2 3"]))
+            parse(newline.join(["3 5", "0 1 2", "# note", "0 1 1", "1 2 3"]).encode())
 
     def test_serialize_parse_identity_on_constructions(self, t6, k4):
         for h in (t6, k4):
-            assert parse(serialize(h)) == h
+            assert parse(serialize(h).encode()) == h
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -136,7 +137,7 @@ class TestEdgeListFormat:
         )
         lines = [" ".join(map(str, data.draw(st.permutations(e)))) for e in edges]
         lines = data.draw(st.permutations(lines), label="lines")
-        h = parse("".join(f"{line}\n" for line in [f"{r} {n}", *lines]))
+        h = parse("".join(f"{line}\n" for line in [f"{r} {n}", *lines]).encode())
         assert h == Hypergraph.build(r, n, edges)
 
 
@@ -292,6 +293,15 @@ class TestExitCodes:
         assert run(["check", "--input", str(bad),
                     "--family", "cancellative"]) == EXIT_USAGE
 
+    def test_non_utf8_byte_named_at_its_file_offset(self, tmp_path, capsys):
+        # Past the first 8 KiB, where the line decoder starts a new chunk.
+        good = serialize(complete(30, 3)).encode()
+        bad = tmp_path / "bad.hg"
+        bad.write_bytes(good[:9000] + b"\xff" + good[9000:])
+        assert run(["check", "--input", str(bad),
+                    "--family", "cancellative"]) == EXIT_USAGE
+        assert "position 9000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ["--family", "turan", "--n", "6", "--r", "3"],
         ["--family", "complete", "--n", "6"],
@@ -321,10 +331,12 @@ class TestExitCodes:
          "--eps", "0.05", "--delta", "-1"],
         ["stability", "--input", "{hg}", "--family", "cancellative",
          "--eps", "nan", "--delta", "0.05"],
+        ["stability", "--input", "{hg}", "--family", "cancellative",
+         "--eps", "0.05", "--delta", "0.05", "--cap", "5"],
     ], ids=["input-below-a-file", "out-below-a-file", "construct-out-below-a-file",
             "enumerate-negative-n", "extremal-negative-n", "enumerate-r-0",
             "thm3-at-r-1", "thm6-at-r-1", "negative-eps", "nan-delta",
-            "negative-delta", "nan-eps"])
+            "negative-delta", "nan-eps", "no-cap-flag"])
     def test_usage_error(self, argv, tmp_path, capsys):
         hg = write_turan(tmp_path / "t.hg")
         assert run([arg.format(hg=hg) for arg in argv]) == EXIT_USAGE
@@ -396,7 +408,7 @@ _fuzz_argv = st.one_of(
         family=st.sampled_from(["cancellative", "expansion"]))),
     st.tuples(st.just("stability"), _flags(
         input=_input, family=st.sampled_from(["cancellative", "expansion"]),
-        l=_small, eps=_real, delta=_real, cap=_small,
+        l=_small, eps=_real, delta=_real,
         mode=st.sampled_from(["exact", "heuristic"]))),
 )
 
@@ -448,6 +460,22 @@ def test_module_entry_point_exit_codes(argv, code, tmp_path):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_module_entry_point_reads_a_pipe():
+    """An edge list on a pipe is read once: parsed and hashed from the same
+    bytes."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    text = FUZZ_INPUTS["t6"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "shadowlab.cli", "check", "--input", "/dev/stdin",
+         "--family", "cancellative"],
+        input=text, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["input_digest"] == hashlib.sha256(text.encode()).hexdigest()
+    assert report["results"][0]["free"]
 
 
 class TestDeterminismAndRevalidate:

@@ -11,6 +11,7 @@ from shadowlab import (
     Expansion,
     Hypergraph,
     complete,
+    extremal,
     fano,
     forbidden,
     shadow,
@@ -167,6 +168,19 @@ class TestEnumeration:
         with pytest.raises(ParameterError):
             enumerate_free_classes(n, 3, Expansion(2))
 
+    @pytest.mark.parametrize("family", [None, Cancellative(), Expansion(3)])
+    def test_orderly_engine_builds_one_checker(self, family, monkeypatch):
+        built = []
+
+        class Counted(forbidden.IncrementalFreeChecker):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(extremal, "IncrementalFreeChecker", Counted)
+        enumerate_free_classes(6, 3, family)
+        assert len(built) == (family is not None)
+
     def test_orderly_visits_are_free_representatives(self):
         from shadowlab.forbidden import is_free
 
@@ -282,6 +296,10 @@ class TestRandomFree:
             h = random_free_graph(8, 3, family, seed, 6)
             assert is_free(h, family)
             assert len(h) <= 6
+
+    def test_rejects_non_family(self):
+        with pytest.raises(ParameterError):
+            random_free_graph(6, 3, None, 1)
 
     def test_seed_determinism(self):
         a = random_free_graph(9, 3, Cancellative(), 123, 8)

@@ -228,6 +228,11 @@ class TestIncrementalChecker:
                 checker.push(m)
                 stack.append(e)
 
+    @pytest.mark.parametrize("family", [None, "cancellative", 3])
+    def test_rejects_non_family(self, family):
+        with pytest.raises(ParameterError, match="no forbidden family"):
+            IncrementalFreeChecker(6, 3, family)
+
     def test_pop_restores_state(self):
         probe = sum(1 << v for v in (0, 1, 2))
         for family in (Expansion(3), Cancellative()):

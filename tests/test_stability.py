@@ -241,10 +241,6 @@ class TestCertificate:
         assert refs["theorem-invocation"] == pytest.approx(40 * 3 ** 6 * 0.2)
         assert refs["induction-variant"] == pytest.approx(35 * 3 ** 4 * 0.04 ** 0.25)
 
-    def test_cap_override(self, t6):
-        cert = stability_certificate(t6, Cancellative(), 0.05, 0.5, cap=5)
-        assert len(cert.fit.subset) <= 5
-
     def test_rejects_non_free(self, k4):
         with pytest.raises(PreconditionError):
             stability_certificate(k4, Cancellative(), 0.05, 0.05)
@@ -261,6 +257,15 @@ class TestCertificate:
 
     def test_delta_zero_allowed(self, t6):
         assert stability_certificate(t6, Cancellative(), 0.05, 0).passed
+
+    def test_fits_on_ceil_x_vertices(self):
+        # The padded Turan graph has x = 6 but 12 vertices: the fit may keep
+        # only ceil(x) of them, and the certificate takes no other cap.
+        h = turan_padded(12, 6, 3, 3)
+        cert = stability_certificate(h, Cancellative(), 0.05, 0.05)
+        assert math.ceil(cert.x) == 6 and len(cert.fit.subset) <= 6
+        with pytest.raises(TypeError):
+            stability_certificate(h, Cancellative(), 0.05, 0.05, cap=5)
 
     def test_removed_cap_uses_x_not_n(self):
         h = turan_padded(12, 6, 3, 3)  # padding must not inflate delta x^r
