@@ -6,8 +6,8 @@ subset (with monotone freeness pruning) and acts as the trusted oracle; the
 orderly engine builds isomorphism classes level by level through canonical
 deduplication, testing each child edge on its parent's
 `IncrementalFreeChecker` as the labeled walk and the sampler test each new
-edge. Canonicalization is in-house permutation search with color refinement
-pruning, so it stays self-contained and testable.
+edge. Canonical forms come from an in-house individualization-refinement
+search with automorphism pruning, so they stay self-contained and testable.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from typing import Callable, Iterator, Optional
 from .bounds import at_least, shadow_bound
 from .errors import ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, IncrementalFreeChecker
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, mask_to_tuple
 
 NAIVE_EDGE_BUDGET = 24      # naive engine requires C(n, r) <= this
 ORDERLY_VERTEX_BUDGET = 8   # orderly engine requires n <= this
-PERMUTATION_BUDGET = 1_000_000
+CANONICAL_NODE_BUDGET = 100_000  # search-tree nodes one canonical_form may visit
 
 
 @dataclass(frozen=True)
@@ -62,55 +62,145 @@ class SweepReport:
     enumeration: EnumerationStats  # the walk's, as the naive engine counts it
 
 
-def _refine_colors(h: Hypergraph) -> list[int]:
-    """Iterated color refinement over the pair-coverage graph, seeded with
-    degrees. Returns invariantly ordered class ids."""
-    adj = h.pair_adjacency
-    colors = list(h.degrees)
-    nbrs = [
-        [u for u in range(h.n) if adj[v] >> u & 1] for v in range(h.n)
-    ]
-    while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
-            for v in range(h.n)
-        ]
-        order = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [order[k] for k in keys]
-        if new == colors:
-            return new
-        colors = new
+def _refine(colours: list[int], cells: int, goal: int, edges, incidence, weight) -> int:
+    """Refine an ordered partition in place until no cell splits, and return
+    its cell count. `colours[v]` is the position where v's cell starts. A
+    vertex's new key is its colour and the sorted codes of its edges, an
+    edge's code being the multiset of its colours written in base r + 1
+    (`weight[c]` is the digit of colour c). Keys sort colour first, so cells
+    only split and keep their order. Stops without a confirming pass once
+    `goal` cells are reached: every non-isolated vertex is a singleton."""
+    while cells < goal:
+        digit = [weight[c] for c in colours]
+        code = [sum(map(digit.__getitem__, e)) for e in edges]
+        split = _cells_by_key(colours, [
+            (c, sorted(map(code.__getitem__, i))) for c, i in zip(colours, incidence)
+        ])
+        if split == cells:
+            break
+        cells = split
+    return cells
+
+
+def _cells_by_key(colours: list[int], keys: list) -> int:
+    """Set each colour to the position where its vertex's cell starts when
+    the vertices are sorted by key, and return the number of cells."""
+    cells = 0
+    prev = None
+    for i, v in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        if keys[v] != prev:
+            prev = keys[v]
+            start = i
+            cells += 1
+        colours[v] = start
+    return cells
 
 
 def canonical_form(h: Hypergraph) -> bytes:
-    """A canonical byte string per isomorphism class: the minimum over
-    admissible vertex orderings of the relabeled, sorted edge list, with
-    color-refinement pruning."""
-    colors = _refine_colors(h)
-    classes: dict[int, list[int]] = {}
-    for v in range(h.n):
-        classes.setdefault(colors[v], []).append(v)
-    groups = [classes[c] for c in sorted(classes)]
-    total = 1
-    for g in groups:
-        total *= math.factorial(len(g))
-        if total > PERMUTATION_BUDGET:
+    """A canonical byte string per isomorphism class: the relabeled, sorted
+    edge list of the least leaf of an individualization-refinement search
+    (McKay and Piperno, "Practical graph isomorphism, II", 2014).
+
+    Each node refines its partition, then individualizes in turn each vertex
+    of the first non-singleton cell of non-isolated vertices. Isolated
+    vertices form one cell and are never branched on. A leaf relabels each
+    vertex by its position; its certificate is the sorted list of its edges'
+    bitmasks, and the least certificate wins. Two leaves with equal
+    certificates give an automorphism: the search returns to the two leaves'
+    common ancestor, and a node skips each child in the orbit of an explored
+    child under the automorphisms found so far that fix the node's prefix.
+    More than `CANONICAL_NODE_BUDGET` nodes raise `ResourceBudgetError`."""
+    n, edges = h.n, h.edges
+    weight = [(h.r + 1) ** c for c in range(n)]
+    incidence = h.incidence
+    isolated = sum(not i for i in incidence)
+    goal = n - isolated + (isolated > 0)  # cells of a leaf
+    automorphisms: list[list[int]] = []
+    leaves: list[tuple] = []  # the first leaf and the least: (certificate, colours, path)
+    nodes = 0
+
+    def visit(colours: list[int], cells: int, path: tuple[int, ...]) -> Optional[int]:
+        """Search below a node. Returns None, or the depth of the ancestor
+        whose current child an automorphism has shown to be redundant."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > CANONICAL_NODE_BUDGET:
             raise ResourceBudgetError(
-                f"canonical_form permutation budget exceeded ({total} candidates)"
+                f"canonical_form node budget exceeded ({CANONICAL_NODE_BUDGET} nodes)",
+                partial={"nodes": CANONICAL_NODE_BUDGET},
             )
-    best: tuple[tuple[int, ...], ...] | None = None
-    relabel = [0] * h.n
-    for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
-        pos = 0
-        for part in parts:
-            for v in part:
-                relabel[v] = pos
-                pos += 1
-        candidate = tuple(sorted(tuple(sorted(relabel[v] for v in e)) for e in h.edges))
-        if best is None or candidate < best:
-            best = candidate
-    payload = ";".join(",".join(map(str, e)) for e in best or ())
+        cells = _refine(colours, cells, goal, edges, incidence, weight)
+        if cells == goal:
+            bit = [1 << c for c in colours]
+            cert = sorted([sum(map(bit.__getitem__, e)) for e in edges])
+            for seen in leaves:
+                if cert == seen[0]:
+                    at = {p: v for v, p in enumerate(seen[1])}
+                    automorphisms.append(
+                        [at[colours[v]] if incidence[v] else v for v in range(n)]
+                    )
+                    depth = 0
+                    while path[depth] == seen[2][depth]:
+                        depth += 1
+                    return depth
+            if not leaves:
+                leaves.append((cert, colours, path))
+            elif cert < leaves[-1][0]:
+                leaves[1:] = [(cert, colours, path)]
+            return None
+        cell = _target_cell(colours, incidence)
+        start = colours[cell[0]]
+        depth = len(path)
+        explored: list[int] = []
+        fixing: list[list[int]] = []  # the automorphisms that fix `path`
+        checked = 0
+        for w in cell:
+            if explored:
+                fixing.extend(g for g in automorphisms[checked:]
+                              if all(g[s] == s for s in path))
+                checked = len(automorphisms)
+                if _in_orbit(w, explored, fixing):
+                    continue
+            explored.append(w)
+            child = colours.copy()
+            for u in cell:
+                if u != w:
+                    child[u] = start + 1
+            jump = visit(child, cells + 1, path + (w,))
+            if jump is not None and jump < depth:
+                return jump
+        return None
+
+    colours = [0] * n
+    visit(colours, _cells_by_key(colours, list(map(len, incidence))), ())
+    least = sorted(mask_to_tuple(m) for m in leaves[-1][0])
+    payload = ";".join(",".join(map(str, e)) for e in least)
     return f"{h.r}/{h.n}:{payload}".encode()
+
+
+def _target_cell(colours: list[int], incidence) -> list[int]:
+    """The vertices of the first cell with two or more non-isolated vertices,
+    in ascending order."""
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colours):
+        if incidence[v]:
+            cells.setdefault(c, []).append(v)
+    return min((c for c in cells.values() if len(c) > 1), key=lambda c: colours[c[0]])
+
+
+def _in_orbit(w: int, explored: list[int], generators: list[list[int]]) -> bool:
+    """Whether w lies in the orbit of an explored vertex under the group the
+    generators generate."""
+    orbit = {w}
+    stack = [w]
+    while stack:
+        x = stack.pop()
+        for g in generators:
+            y = g[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return not orbit.isdisjoint(explored)
 
 
 def are_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:

@@ -5,11 +5,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import (
     Cancellative,
     Expansion,
     Hypergraph,
+    clique_expansion_graph,
     complete,
     extremal,
     fano,
@@ -78,17 +81,83 @@ class TestCanonicalForm:
             b = Hypergraph.build(3, 5, rng.sample(candidates, rng.randint(0, 6)))
             assert are_isomorphic(a, b) == permutation_isomorphism_oracle(a, b)
 
-    def test_vertex_cap(self):
-        with pytest.raises(ResourceBudgetError):
-            canonical_form(Hypergraph.build(3, 13, []))
+    def test_node_budget(self, monkeypatch):
+        # complete(8, 3) is vertex-transitive: no refinement splits it, so
+        # its search visits 36 nodes even with automorphism pruning.
+        monkeypatch.setattr(extremal, "CANONICAL_NODE_BUDGET", 35)
+        with pytest.raises(ResourceBudgetError) as caught:
+            canonical_form(complete(8, 3))
+        assert caught.value.partial == {"nodes": 35}
+        monkeypatch.setattr(extremal, "CANONICAL_NODE_BUDGET", 36)
+        assert canonical_form(complete(8, 3)).startswith(b"3/8:0,1,2;")
+        # Isolated vertices are never branched on: an empty graph is one
+        # node at any size.
+        monkeypatch.setattr(extremal, "CANONICAL_NODE_BUDGET", 1)
+        assert canonical_form(Hypergraph.build(3, 13, [])) == b"3/13:"
 
     def test_thirteen_vertex_path(self):
-        # Refinement splits the path into small colour classes, so only the
-        # permutation budget limits the work, not the vertex count.
+        # Refinement splits the path down to its mirror symmetry, so the
+        # search visits three nodes whatever the path's length.
         path = Hypergraph.build(3, 13, [(i, i + 1, i + 2) for i in range(11)])
         perm = list(range(13))
         random.Random(13).shuffle(perm)
         assert canonical_form(path) == canonical_form(relabel(path, perm))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_decides_isomorphism_like_the_oracle(self, data):
+        """r in 1..4 and n in 0..6, empty graphs and isolated vertices
+        included: equal forms exactly when the permutation oracle finds an
+        isomorphism, and the form survives any relabelling."""
+        r = data.draw(st.integers(1, 4), label="r")
+        n = data.draw(st.integers(0, 6), label="n")
+        candidates = list(itertools.combinations(range(n), r))
+        m = data.draw(st.integers(0, len(candidates)), label="m")
+        a = Hypergraph.build(r, n, data.draw(st.permutations(candidates))[:m])
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        if data.draw(st.booleans(), label="relabelled"):
+            b = relabel(a, perm)
+        else:
+            b = Hypergraph.build(r, n, data.draw(st.permutations(candidates))[:m])
+        assert (canonical_form(a) == canonical_form(b)) == (
+            permutation_isomorphism_oracle(a, b)
+        )
+        assert canonical_form(relabel(a, perm)) == canonical_form(a)
+
+    @pytest.mark.parametrize("h", [
+        turan(12, 3, 3)[0],
+        complete(10, 3),
+        Hypergraph.build(3, 13, []),
+        fano(),
+        clique_expansion_graph(3, 3),
+    ], ids=["turan12", "complete10", "empty13", "fano", "k4-expansion"])
+    def test_symmetric_graphs(self, h):
+        """Symmetric and empty inputs at sizes where trying every vertex
+        ordering is out of reach (12! and 13! orderings): the form survives
+        20 relabellings and changes when one edge moves so that the degree
+        multiset changes."""
+        base = canonical_form(h)
+        rng = random.Random(f"{h.n}/{len(h)}")
+        for _ in range(20):
+            assert canonical_form(relabel(h, rng.sample(range(h.n), h.n))) == base
+        moved = _move_one_edge(h)
+        assert sorted(moved.degrees) != sorted(h.degrees)
+        assert canonical_form(moved) != base
+
+
+def _move_one_edge(h):
+    """h with its first edge traded for the first non-edge whose swap changes
+    the degree multiset; with an edge added or removed if h has no edge or
+    no non-edge."""
+    edges = set(h.edges)
+    free = [e for e in itertools.combinations(range(h.n), h.r) if e not in edges]
+    if not edges or not free:
+        return Hypergraph.build(h.r, h.n, sorted(edges ^ {(free or h.edges)[0]}))
+    for e in free:
+        moved = Hypergraph.build(h.r, h.n, sorted(edges - {h.edges[0]} | {e}))
+        if sorted(moved.degrees) != sorted(h.degrees):
+            return moved
+    raise AssertionError("no edge move changes the degree multiset")
 
 
 class TestEnumeration:
@@ -180,6 +249,11 @@ class TestEnumeration:
         monkeypatch.setattr(extremal, "IncrementalFreeChecker", Counted)
         enumerate_free_classes(6, 3, family)
         assert len(built) == (family is not None)
+
+    @pytest.mark.parametrize("r, classes", [(2, 156), (3, 2136)])
+    def test_all_classes_on_six_vertices(self, r, classes):
+        """Graphs (OEIS A000088) and 3-graphs (A000665) on six vertices."""
+        assert len(enumerate_free_classes(6, r, None)) == classes
 
     def test_orderly_visits_are_free_representatives(self):
         from shadowlab.forbidden import is_free
