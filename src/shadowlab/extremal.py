@@ -394,9 +394,11 @@ def verify_bound_over_enumeration(
     ell: Optional[int] = None,
 ) -> SweepReport:
     """Evaluate the named bound on every family-free graph; report the worst
-    slack and any violations (expected none). The shadow size is kept up to
-    date by the DFS hooks as edges join and leave. The walk is the naive
-    engine's, so the report also carries its enumeration stats."""
+    slack and any violations (expected none). The walk is the naive
+    engine's, so the report also carries its enumeration stats. The shadow
+    is one int with a bit per (r-1)-set: the DFS hooks save it and OR in
+    the edge's bits as an edge joins, and restore the saved int as it
+    leaves, so the shadow size is its bit count."""
     _check_shape(n, r)
     if bound_kind not in _SWEEP_BOUNDS:
         raise ParameterError(f"unknown bound kind {bound_kind!r}")
@@ -404,7 +406,11 @@ def verify_bound_over_enumeration(
         raise ParameterError("thm6 sweep needs ell")
     bound_family = _SWEEP_BOUNDS[bound_kind](ell)
     _check_naive_budget(n, r)
-    subsets = [tuple(itertools.combinations(e, r - 1)) for e, _ in _candidates(n, r)]
+    ids = {s: i for i, s in enumerate(itertools.combinations(range(n), r - 1))}
+    shadow_bits = [
+        sum(1 << ids[s] for s in itertools.combinations(e, r - 1))
+        for e, _ in _candidates(n, r)
+    ]
 
     bound_cache: dict[int, float] = {}
 
@@ -413,25 +419,19 @@ def verify_bound_over_enumeration(
             bound_cache[s] = shadow_bound(bound_family, s, r)[1]
         return bound_cache[s]
 
-    coverage: dict[tuple[int, ...], int] = {}
-    shadow_size = 0
+    shadow = 0
+    saved: list[int] = []
 
     def on_push(t: int) -> None:
-        nonlocal shadow_size
-        for sub in subsets[t]:
-            c = coverage.get(sub, 0)
-            coverage[sub] = c + 1
-            if c == 0:
-                shadow_size += 1
+        nonlocal shadow
+        saved.append(shadow)
+        shadow |= shadow_bits[t]
 
     def on_pop(t: int) -> None:
-        nonlocal shadow_size
-        for sub in subsets[t]:
-            coverage[sub] -= 1
-            if coverage[sub] == 0:
-                shadow_size -= 1
+        nonlocal shadow
+        shadow = saved.pop()
 
-    counts = [0] * (len(subsets) + 1)  # counts[m] = visits with m edges
+    counts = [0] * (len(shadow_bits) + 1)  # counts[m] = visits with m edges
     violations: list[tuple[tuple[int, ...], ...]] = []
     min_slack = math.inf
     argmin: tuple[tuple[int, ...], ...] = ()
@@ -440,7 +440,7 @@ def verify_bound_over_enumeration(
         counts[m] += 1
         if not m:
             continue
-        slack = bound_for(shadow_size) - m
+        slack = bound_for(shadow.bit_count()) - m
         if not at_least(slack, 0.0):
             violations.append(edges)
         if slack < min_slack:

@@ -9,9 +9,10 @@ is 2-covered.
 
 `IncrementalFreeChecker` keeps indexes of its edge stack, updated on each
 push and pop, so a call costs about the size of the new edge rather than of
-the stack. For the expansion family it counts the stored edges covering each
-vertex pair, and a pair leaves the adjacency when its count drops to 0; a
-new edge can only close an (ell+1)-clique through a pair it newly covers.
+the stack. For the expansion family it keeps the covered-pair graph, as one
+int of pair bits and as an adjacency list; `push` saves both and `pop`
+restores them. A new edge can only close an (ell+1)-clique through a pair it
+newly covers, and the verdict is memoized on the grown pair graph.
 For the cancellative family it counts the xors of all stored pairs and the
 even-size sub-masks of the stored edges: a new edge t is the C of a bad
 triple iff one of its even-size sub-masks is a stored xor, and a member of a
@@ -187,6 +188,14 @@ class IncrementalFreeChecker:
     Precondition: only edges for which `would_violate` returned False are
     pushed, so the stack is always free, and `would_violate(t)` is never
     asked for a `t` already on the stack. The checks below rely on both.
+
+    Expansion family: `pairs` has bit u * n + v set when a stored edge
+    covers the pair u < v, and `adj` holds the same graph as adjacency
+    bitsets. `push` saves (pairs, adj) on a stack and `pop` restores them.
+    An edge that covers no new pair cannot violate. Otherwise, because the
+    stack is free, the edge closes an (ell+1)-clique exactly when its grown
+    pair graph has one; that depends on the grown `pairs` alone, so the
+    verdict is memoized on it for the life of the checker.
     """
 
     def __init__(self, n: int, r: int, family: Family):
@@ -194,16 +203,20 @@ class IncrementalFreeChecker:
         self.r = r
         self.family = family
         self.masks: list[int] = []
-        # mask -> its pairs u < v as (u, v, 1 << u, 1 << v, u * n + v)
+        # mask -> (its pair bits, its pairs u < v as (u, v, 1 << u, 1 << v))
         # (expansion) or its even-size sub-masks (cancellative), built once
         # per mask.
         self._parts: dict[int, tuple] = {}
         if isinstance(family, Expansion):
             if family.ell < r:
                 raise ParameterError(f"ell must be >= r={r}, got {family.ell}")
+            self.pairs = 0
             self.adj = [0] * n
-            # cover[u * n + v]: stored edges containing the pair u < v.
-            self.cover = [0] * (n * n)
+            # (pairs, adj) from before each stored edge was pushed. A push
+            # replaces adj rather than changing it, so saved lists stay valid.
+            self._saved: list[tuple[int, list[int]]] = []
+            # Grown pair bits -> whether they hold an (ell+1)-clique.
+            self._verdicts: dict[int, bool] = {}
         elif isinstance(family, Cancellative):
             # Counts of the xors of all stored pairs, and of the even-size
             # sub-masks of the stored edges.
@@ -217,9 +230,11 @@ class IncrementalFreeChecker:
         if parts is None:
             verts = mask_to_tuple(mask)
             if isinstance(self.family, Expansion):
-                parts = tuple(
-                    (u, v, 1 << u, 1 << v, u * self.n + v)
-                    for u, v in itertools.combinations(verts, 2)
+                n = self.n
+                pairs = tuple(itertools.combinations(verts, 2))
+                parts = (
+                    sum(1 << (u * n + v) for u, v in pairs),
+                    tuple((u, v, 1 << u, 1 << v) for u, v in pairs),
                 )
             else:
                 bits = [1 << v for v in verts]
@@ -235,7 +250,13 @@ class IncrementalFreeChecker:
         parts = self._parts_of(mask)
         if isinstance(self.family, Cancellative):
             return self._cancellative_hit(mask, parts)
-        return self._expansion_hit(parts)
+        grown = self.pairs | parts[0]
+        if grown == self.pairs:
+            return False
+        hit = self._verdicts.get(grown)
+        if hit is None:
+            hit = self._verdicts[grown] = self._expansion_hit(parts[1])
+        return hit
 
     def _cancellative_hit(self, t: int, subs: tuple) -> bool:
         # t as the containing edge C: a stored pair's xor is an even-size
@@ -252,30 +273,33 @@ class IncrementalFreeChecker:
                 return True
         return False
 
-    def _expansion_hit(self, pairs: tuple) -> bool:
-        adj = self.adj
-        new = [p for p in pairs if not adj[p[0]] & p[3]]
-        if not new:
-            return False
-        adj = adj[:]
-        for u, v, bu, bv, _ in new:
+    def _grown_adj(self, pairs: tuple) -> list[int]:
+        adj = self.adj[:]
+        for u, v, bu, bv in pairs:
             adj[u] |= bv
             adj[v] |= bu
+        return adj
+
+    def _expansion_hit(self, pairs: tuple) -> bool:
         # The stack is free, so a new (ell+1)-clique must use a new pair.
+        old = self.adj
+        adj = self._grown_adj(pairs)
         size = self.family.ell + 1
-        for u, v, _, _, _ in new:
-            if first_clique(adj, (u, v), adj[u] & adj[v], size) is not None:
+        for u, v, _, bv in pairs:
+            if not old[u] & bv and first_clique(
+                adj, (u, v), adj[u] & adj[v], size
+            ) is not None:
                 return True
         return False
 
     def push(self, mask: int) -> None:
         parts = self._parts_of(mask)
         if isinstance(self.family, Expansion):
-            adj, cover = self.adj, self.cover
-            for u, v, bu, bv, key in parts:
-                cover[key] += 1
-                adj[u] |= bv
-                adj[v] |= bu
+            self._saved.append((self.pairs, self.adj))
+            grown = self.pairs | parts[0]
+            if grown != self.pairs:
+                self.adj = self._grown_adj(parts[1])
+                self.pairs = grown
         else:
             xors, inside = self.xors, self.inside
             for b in self.masks:
@@ -287,19 +311,13 @@ class IncrementalFreeChecker:
 
     def pop(self) -> None:
         mask = self.masks.pop()
-        parts = self._parts[mask]
         if isinstance(self.family, Expansion):
-            adj, cover = self.adj, self.cover
-            for u, v, bu, bv, key in parts:
-                cover[key] -= 1
-                if not cover[key]:
-                    adj[u] &= ~bv
-                    adj[v] &= ~bu
+            self.pairs, self.adj = self._saved.pop()
         else:
             xors, inside = self.xors, self.inside
             for b in self.masks:
                 _discount(xors, mask ^ b)
-            for sub in parts:
+            for sub in self._parts[mask]:
                 _discount(inside, sub)
 
 

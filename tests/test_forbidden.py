@@ -246,9 +246,45 @@ class TestIncrementalChecker:
                 checker.pop()
             assert checker.would_violate(probe) == before
             if isinstance(family, Expansion):
-                assert checker.adj == [0] * 6 and not any(checker.cover)
+                assert checker.adj == [0] * 6 and checker.pairs == 0
             else:
                 assert checker.xors == {} and checker.inside == {}
+
+    def test_memo_agrees_across_stacks_with_the_same_pairs(self):
+        """The expansion verdict is memoized on the grown pair graph, so two
+        different free stacks covering the same pairs share it: the same
+        probe must still get the brute-force answer on both."""
+        def masks(edges):
+            return [sum(1 << v for v in e) for e in edges]
+
+        # b adds (0, 1, 3), whose pairs the three edges of a already cover.
+        a = [(0, 1, 2), (0, 3, 4), (1, 3, 5)]
+        b = [(0, 1, 2), (0, 1, 3), (0, 3, 4), (1, 3, 5)]
+        checker = IncrementalFreeChecker(6, 3, Expansion(3))
+        # (2, 3, 5) 2-covers {0, 1, 2, 3}; (2, 4, 5) closes no 4-clique.
+        for probe, expected in [((2, 3, 5), True), ((2, 4, 5), False)]:
+            (m,) = masks([probe])
+            covered = []
+            for stack in (a, b):
+                for e in masks(stack):
+                    assert not checker.would_violate(e)
+                    checker.push(e)
+                covered.append(checker.pairs)
+                grown = Hypergraph.build(3, 6, stack + [probe])
+                oracle = brute_force_clique_expansion(grown, 3) is not None
+                assert checker.would_violate(m) == oracle == expected
+                for _ in stack:
+                    checker.pop()
+            assert covered[0] == covered[1]
+        for e in masks(a):
+            checker.push(e)
+        pairs, adj = checker.pairs, checker.adj[:]
+        (extra,) = masks([(0, 1, 3)])
+        assert not checker.would_violate(extra)
+        checker.push(extra)
+        assert (checker.pairs, checker.adj) == (pairs, adj)
+        checker.pop()
+        assert (checker.pairs, checker.adj) == (pairs, adj)
 
     def test_ell_below_r_rejected(self):
         with pytest.raises(ParameterError):
