@@ -9,10 +9,10 @@ Bitmask forms of the edges are cached for the hot set-algebra paths
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EmptyInputError, ParameterError
@@ -165,9 +165,7 @@ def shadow_i(h: Hypergraph, i: int) -> Hypergraph:
     """The i-th shadow: all (r-i)-sets contained in some edge."""
     if not 1 <= i <= h.r - 1:
         raise ParameterError(f"shadow index must be in 1..{h.r - 1}, got {i}")
-    sub = set()
-    for e in h.edges:
-        sub.update(itertools.combinations(e, h.r - i))
+    sub = set(chain.from_iterable(map(combinations, h.edges, repeat(h.r - i))))
     return Hypergraph(h.r - i, h.n, tuple(sorted(sub)))
 
 
@@ -218,7 +216,7 @@ def is_two_covered(h: Hypergraph, s: Iterable[int]) -> bool:
     """True iff every pair of S lies in a common edge (vacuous for |S|<=1)."""
     sv = sorted(set(s))
     adj = h.pair_adjacency
-    return all(adj[u] >> v & 1 for u, v in itertools.combinations(sv, 2))
+    return all(adj[u] >> v & 1 for u, v in combinations(sv, 2))
 
 
 def clique_set(h: Hypergraph, kmax: int) -> CliqueSet:

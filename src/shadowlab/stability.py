@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -82,9 +83,11 @@ def partition_fit(
     r-graph on at most `cap` vertices.
 
     Both modes run the seeded heuristic: greedy seeding in (-degree, v)
-    order plus single-vertex-move local search. Heuristic mode returns its
-    labelling as an upper bound flagged non-optimal; exact mode hands it to
-    branch-and-bound over vertex labelings as the incumbent to beat.
+    order plus single-vertex-move local search, scored from per-edge codes
+    sum((r+1)**label): base r+1, as in base r an edge inside one part would
+    carry into the next digit. Heuristic mode returns its labelling as an
+    upper bound flagged non-optimal; exact mode hands it to branch-and-bound
+    over vertex labelings as the incumbent to beat.
     """
     if ell < 1 or cap < 0:
         raise ParameterError(f"need ell >= 1 and cap >= 0, got ell={ell}, cap={cap}")
@@ -119,12 +122,8 @@ def _fit_result(h, ell, labels, removed, optimal) -> PartitionFit:
 
 
 def _removed_count(h: Hypergraph, labels) -> int:
-    removed = 0
-    for e in h.edges:
-        got = [labels[v] for v in e]
-        if OUT in got or len(set(got)) != len(got):
-            removed += 1
-    return removed
+    """Edges with an OUT vertex or two vertices in one part."""
+    return sum(len({labels[v] for v in e} - {OUT}) < h.r for e in h.edges)
 
 
 def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, order, best_labels, best):
@@ -186,74 +185,77 @@ def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, order, best_labels,
 
 def _fit_heuristic(h: Hypergraph, ell: int, cap: int, order, seed: int, restarts: int):
     """Greedy seeding of `order[:cap]` (of a seeded shuffle of `order` after
-    the first restart), then local search; the best labels and removals."""
-    n = h.n
+    the first restart), then local search; the best labels and removals.
+    Each edge keeps the code sum((r+1)**label) over its vertices, OUT as
+    digit ell, so digit p counts its vertices in part p. A digit reaches r
+    at most, hence base r+1: in base r an edge inside one part would carry
+    into the next digit. A vertex's move costs come from the multiset of its
+    edges' codes less its own digit, each distinct code decoded once per call.
+    """
+    r = h.r
+    incidence = h.incidence
+    unit = [(r + 1) ** p for p in range(ell + 1)]   # unit[OUT] is digit ell
+    decoded = {}   # code -> (broken with OUT ignored, with OUT breaking, parts)
+
+    def decode(c):
+        digits = [c // u % (r + 1) for u in unit]
+        dup = max(digits[:ell]) > 1
+        decoded[c] = entry = (dup, dup or digits[OUT] > 0, [p for p in range(ell) if digits[p]])
+        return entry
+
+    def costs_of(v, out_breaks):
+        """costs[p] = edges through v broken if v takes part p. An OUT
+        neighbour breaks its edge when `out_breaks`, else is not yet placed."""
+        own = unit[labels[v]]
+        broken = 0
+        costs = [0] * ell
+        for c, k in Counter(map(code.__getitem__, incidence[v])).items():
+            c -= own
+            entry = decoded.get(c) or decode(c)
+            if entry[out_breaks]:
+                broken += k
+            else:
+                for p in entry[2]:
+                    costs[p] += k
+        return [broken + c for c in costs]
+
+    def move(v, p):
+        shift = unit[p] - unit[labels[v]]
+        for i in incidence[v]:
+            code[i] += shift
+        labels[v] = p
+
     rng = random.Random(seed)
-    # links[v] = the other vertices of each edge through v
-    links = [
-        [tuple(u for u in h.edges[i] if u != v) for i in h.incidence[v]]
-        for v in range(n)
-    ]
-    best_labels = None
-    best = len(h.edges) + 1
+    best_labels, best = None, len(h.edges) + 1
     for attempt in range(restarts):
         seeding = order.copy()
         if attempt > 0:
             rng.shuffle(seeding)
-        labels = [OUT] * n
+        labels = [OUT] * h.n
+        code = [r * unit[OUT]] * len(h.edges)
         for v in seeding[:cap]:
-            costs = _local_cost(links[v], labels, ell, out_breaks=False)
-            labels[v] = costs.index(min(costs))
-        labels, removed = _local_search(h, links, labels, ell)
+            costs = costs_of(v, out_breaks=False)
+            move(v, costs.index(min(costs)))
+        # Local search: single-vertex moves between parts, first improvement
+        # in vertex and part order (the scan over parts ends at the first
+        # cheapest one), until none helps. Left-out vertices stay out: the
+        # seeding leaves a vertex out only once the cap is full.
+        removed = sum(k for c, k in Counter(code).items() if (decoded.get(c) or decode(c))[1])
+        kept = [v for v in range(h.n) if labels[v] != OUT]
+        improved = True
+        while improved:
+            improved = False
+            for v in kept:
+                costs = costs_of(v, out_breaks=True)
+                least = min(costs)
+                if least < costs[labels[v]]:
+                    removed += least - costs[labels[v]]
+                    move(v, costs.index(least))
+                    improved = True
         if removed < best:
             best = removed
             best_labels = labels
     return best_labels, best
-
-
-def _local_cost(links_v, labels, ell, out_breaks) -> list[int]:
-    """costs[p] = edges through v left non-transversal if v takes part p,
-    given the labels of their other vertices. An OUT neighbour breaks the
-    edge when `out_breaks`, and is ignored (not yet placed) otherwise."""
-    broken = 0
-    costs = [0] * ell
-    for others in links_v:
-        got = [labels[u] for u in others]
-        if OUT in got:
-            if out_breaks:
-                broken += 1
-                continue
-            got = [g for g in got if g != OUT]
-        if len(set(got)) != len(got):
-            broken += 1
-        else:
-            for g in got:
-                costs[g] += 1
-    return [broken + c for c in costs]
-
-
-def _local_search(h: Hypergraph, links, labels, ell):
-    """Single-vertex moves between parts, first improvement in vertex and
-    part order, until none helps. Each move is scored by its change over the
-    edges through the vertex; returns the labels and their removals. Left-out
-    vertices stay out: the greedy seeding leaves a vertex out only once the
-    cap is full, so moving one in would exceed it."""
-    current = _removed_count(h, labels)
-    improved = True
-    while improved:
-        improved = False
-        for v in range(h.n):
-            if labels[v] == OUT:
-                continue
-            costs = _local_cost(links[v], labels, ell, out_breaks=True)
-            cost = costs[labels[v]]
-            for p in range(ell):
-                if costs[p] < cost:
-                    current += costs[p] - cost
-                    cost = costs[p]
-                    labels[v] = p
-                    improved = True
-    return labels, current
 
 
 def brute_force_partition_fit(h: Hypergraph, ell: int, cap: int) -> int:

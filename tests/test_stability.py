@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shadowlab import (
@@ -23,6 +23,9 @@ from shadowlab.errors import (
     ResourceBudgetError,
 )
 from shadowlab.stability import (
+    OUT,
+    _fit_branch_and_bound,
+    _fit_result,
     brute_force_partition_fit,
     core_extract_cancellative,
     core_extract_expansion,
@@ -50,6 +53,93 @@ def fit_instances(draw):
     edges = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=30))
     cap = draw(st.integers(0, n))
     return Hypergraph.build(3, n, edges), cap, draw(st.integers(0, 2 ** 16))
+
+
+def reference_local_cost(links_v, labels, ell, out_breaks):
+    """costs[p] = edges through v left non-transversal if v takes part p,
+    scored by a loop over the other vertices of each edge through v. An OUT
+    neighbour breaks the edge when `out_breaks`, and is ignored otherwise."""
+    broken = 0
+    costs = [0] * ell
+    for others in links_v:
+        got = [labels[u] for u in others]
+        if OUT in got:
+            if out_breaks:
+                broken += 1
+                continue
+            got = [g for g in got if g != OUT]
+        if len(set(got)) != len(got):
+            broken += 1
+        else:
+            for g in got:
+                costs[g] += 1
+    return [broken + c for c in costs]
+
+
+def reference_local_search(h, links, labels, ell):
+    """Single-vertex moves, first improvement in vertex and part order."""
+    current = removed_by_labels(h, [None if p == OUT else p for p in labels])
+    improved = True
+    while improved:
+        improved = False
+        for v in range(h.n):
+            if labels[v] == OUT:
+                continue
+            costs = reference_local_cost(links[v], labels, ell, out_breaks=True)
+            cost = costs[labels[v]]
+            for p in range(ell):
+                if costs[p] < cost:
+                    current += costs[p] - cost
+                    cost = costs[p]
+                    labels[v] = p
+                    improved = True
+    return labels, current
+
+
+def reference_partition_fit(h, ell, cap, mode, seed):
+    """`partition_fit` with the heuristic scored edge by edge: the same
+    greedy order, seeded shuffles, restarts and tie-breaks."""
+    exact = mode == "exact"
+    order = sorted(range(h.n), key=lambda v: (-h.degrees[v], v))
+    links = [
+        [tuple(u for u in h.edges[i] if u != v) for i in h.incidence[v]]
+        for v in range(h.n)
+    ]
+    rng = random.Random(seed)
+    best_labels, best = None, len(h.edges) + 1
+    for attempt in range(4 if exact else 20):
+        seeding = order.copy()
+        if attempt > 0:
+            rng.shuffle(seeding)
+        labels = [OUT] * h.n
+        for v in seeding[:cap]:
+            costs = reference_local_cost(links[v], labels, ell, out_breaks=False)
+            labels[v] = costs.index(min(costs))
+        labels, removed = reference_local_search(h, links, labels, ell)
+        if removed < best:
+            best_labels, best = labels, removed
+    if exact:
+        best_labels, best = _fit_branch_and_bound(h, ell, cap, order, best_labels, best)
+    return _fit_result(h, ell, best_labels, best, optimal=exact)
+
+
+@st.composite
+def pinned_fit_instances(draw):
+    """Random r-graphs, r 1..4, on 0..9 vertices, with any part count 1..4
+    (so also ell < r), any cap 0..n+1, a seed and a mode."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 9))
+    candidates = list(itertools.combinations(range(n), r))
+    edges = []
+    if candidates:
+        edges = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=25))
+    return (
+        Hypergraph.build(r, n, edges),
+        draw(st.integers(1, 4)),
+        draw(st.integers(0, n + 1)),
+        draw(st.sampled_from(["heuristic", "exact"])),
+        draw(st.integers(0, 2 ** 16)),
+    )
 
 
 def t6_plus_intra_part_edge():
@@ -122,6 +212,24 @@ class TestPartitionFit:
                 if sum(q is not None for q in moved) > cap:
                     continue
                 assert removed_by_labels(h, moved) >= fit.removed
+
+    @settings(max_examples=300, deadline=None)
+    @given(pinned_fit_instances())
+    # the greedy seeding puts the third vertex of the triangle beside the
+    # first, so an edge lies inside part 0: its code 2 reads as one vertex
+    # in part 1 in base 2, and as two in part 0 in base 3
+    @example((Hypergraph.build(2, 3, [(0, 1), (0, 2), (1, 2)]), 2, 3, "heuristic", 0))
+    @example((complete(5, 3), 2, 5, "heuristic", 1))
+    @example((Hypergraph.build(1, 4, [(0,), (2,)]), 2, 3, "exact", 0))
+    @example((Hypergraph.build(3, 0, []), 3, 0, "heuristic", 0))
+    @example((Hypergraph.build(3, 5, []), 1, 6, "exact", 0))
+    def test_heuristic_matches_edge_by_edge_scoring(self, instance):
+        """The code-scored heuristic makes the same moves as scoring each
+        incident edge by its other vertices' labels: the whole fit agrees."""
+        h, ell, cap, mode, seed = instance
+        assert partition_fit(h, ell, cap, mode=mode, seed=seed) == reference_partition_fit(
+            h, ell, cap, mode, seed
+        )
 
     def test_zero_removed_iff_multipartite_subgraph(self, t6):
         fit = partition_fit(t6, 3, 6)
