@@ -274,16 +274,12 @@ def _stats(engine: str, counts: dict[int, int]) -> EnumerationStats:
 
 
 def _iter_free_edge_sets(
-    n: int,
-    r: int,
-    family: Optional[Family],
-    on_push: Optional[Callable[[int], None]] = None,
-    on_pop: Optional[Callable[[int], None]] = None,
+    n: int, r: int, family: Optional[Family]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Labeled DFS: extend by candidate edges of larger index only, prune on
     violation (freeness is monotone under edge removal). Yields every free
-    edge set once, in preorder. `on_push(t)` and `on_pop(t)` are called with
-    the candidate index t as an edge joins or leaves the current set."""
+    edge set once, in preorder, so each set but the empty one is an earlier
+    set plus its last edge."""
     candidates = _candidates(n, r)
     masks = [m for _, m in candidates]
     total = len(candidates)
@@ -299,8 +295,6 @@ def _iter_free_edge_sets(
         if t < total:
             if checker is not None:
                 checker.push(masks[t])
-            if on_push is not None:
-                on_push(t)
             edges.append(candidates[t][0])
             picked.append(t)
             yield tuple(edges)
@@ -308,8 +302,6 @@ def _iter_free_edge_sets(
         elif picked:
             t = picked.pop()
             edges.pop()
-            if on_pop is not None:
-                on_pop(t)
             if checker is not None:
                 checker.pop()
             t += 1
@@ -395,10 +387,11 @@ def verify_bound_over_enumeration(
 ) -> SweepReport:
     """Evaluate the named bound on every family-free graph; report the worst
     slack and any violations (expected none). The walk is the naive
-    engine's, so the report also carries its enumeration stats. The shadow
-    is one int with a bit per (r-1)-set: the DFS hooks save it and OR in
-    the edge's bits as an edge joins, and restore the saved int as it
-    leaves, so the shadow size is its bit count."""
+    engine's, so the report also carries its enumeration stats. A shadow is
+    one int with a bit per (r-1)-set, and its size is its bit count.
+    `shadows[k]` is the shadow of the current set's first k edges: the walk
+    yields each set right after its prefix, so a visit truncates the list to
+    its prefix and ORs in the last edge's bits."""
     _check_shape(n, r)
     if bound_kind not in _SWEEP_BOUNDS:
         raise ParameterError(f"unknown bound kind {bound_kind!r}")
@@ -407,10 +400,10 @@ def verify_bound_over_enumeration(
     bound_family = _SWEEP_BOUNDS[bound_kind](ell)
     _check_naive_budget(n, r)
     ids = {s: i for i, s in enumerate(itertools.combinations(range(n), r - 1))}
-    shadow_bits = [
-        sum(1 << ids[s] for s in itertools.combinations(e, r - 1))
+    shadow_bits = {
+        e: sum(1 << ids[s] for s in itertools.combinations(e, r - 1))
         for e, _ in _candidates(n, r)
-    ]
+    }
 
     bound_cache: dict[int, float] = {}
 
@@ -419,28 +412,19 @@ def verify_bound_over_enumeration(
             bound_cache[s] = shadow_bound(bound_family, s, r)[1]
         return bound_cache[s]
 
-    shadow = 0
-    saved: list[int] = []
-
-    def on_push(t: int) -> None:
-        nonlocal shadow
-        saved.append(shadow)
-        shadow |= shadow_bits[t]
-
-    def on_pop(t: int) -> None:
-        nonlocal shadow
-        shadow = saved.pop()
-
+    shadows = [0]
     counts = [0] * (len(shadow_bits) + 1)  # counts[m] = visits with m edges
     violations: list[tuple[tuple[int, ...], ...]] = []
     min_slack = math.inf
     argmin: tuple[tuple[int, ...], ...] = ()
-    for edges in _iter_free_edge_sets(n, r, family, on_push, on_pop):
+    for edges in _iter_free_edge_sets(n, r, family):
         m = len(edges)
         counts[m] += 1
         if not m:
             continue
-        slack = bound_for(shadow.bit_count()) - m
+        del shadows[m:]
+        shadows.append(shadows[-1] | shadow_bits[edges[-1]])
+        slack = bound_for(shadows[m].bit_count()) - m
         if not at_least(slack, 0.0):
             violations.append(edges)
         if slack < min_slack:

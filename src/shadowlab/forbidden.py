@@ -9,10 +9,11 @@ is 2-covered.
 
 `IncrementalFreeChecker` keeps indexes of its edge stack, updated on each
 push and pop, so a call costs about the size of the new edge rather than of
-the stack. For the expansion family it keeps the covered-pair graph, as one
-int of pair bits and as an adjacency list; `push` saves both and `pop`
-restores them. A new edge can only close an (ell+1)-clique through a pair it
-newly covers, and the verdict is memoized on the grown pair graph.
+the stack. For the expansion family it keeps the covered-pair graph as one
+int whose n-bit rows are the adjacency bitsets; `push` saves it and ORs in
+the edge's pairs, and `pop` restores it. A new edge can only close an
+(ell+1)-clique through a pair it newly covers, and the verdict is memoized
+on the grown pair graph.
 For the cancellative family it counts the xors of all stored pairs and the
 even-size sub-masks of the stored edges: a new edge t is the C of a bad
 triple iff one of its even-size sub-masks is a stored xor, and a member of a
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ParameterError, PreconditionError
-from .hypercore import Hypergraph, first_clique, mask_to_tuple
+from .hypercore import Hypergraph, cliques, mask_to_tuple
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def find_clique_expansion(h: Hypergraph, ell: int) -> Optional[Witness]:
     is the lexicographically least 2-covered (ell+1)-set."""
     if ell < h.r:
         raise ParameterError(f"ell must be >= r={h.r}, got {ell}")
-    core = first_clique(h.pair_adjacency, (), (1 << h.n) - 1, ell + 1)
+    core = next(cliques(h.pair_adjacency, (), (1 << h.n) - 1, ell + 1), None)
     if core is None:
         return None
     covering = []
@@ -189,13 +190,14 @@ class IncrementalFreeChecker:
     pushed, so the stack is always free, and `would_violate(t)` is never
     asked for a `t` already on the stack. The checks below rely on both.
 
-    Expansion family: `pairs` has bit u * n + v set when a stored edge
-    covers the pair u < v, and `adj` holds the same graph as adjacency
-    bitsets. `push` saves (pairs, adj) on a stack and `pop` restores them.
-    An edge that covers no new pair cannot violate. Otherwise, because the
-    stack is free, the edge closes an (ell+1)-clique exactly when its grown
-    pair graph has one; that depends on the grown `pairs` alone, so the
-    verdict is memoized on it for the life of the checker.
+    Expansion family: `pairs` has bits u * n + v and v * n + u set when a
+    stored edge covers the pair {u, v}, so bits u * n .. u * n + n - 1 are
+    u's adjacency row. `push` saves `pairs` on a stack and ORs in the edge's
+    bits; `pop` restores it. An edge that covers no new pair cannot violate.
+    Otherwise, because the stack is free, the edge closes an (ell+1)-clique
+    exactly when its grown pair graph has one; that depends on the grown
+    `pairs` alone, so the verdict is memoized on it for the life of the
+    checker, and only a miss slices the rows out for a clique search.
     """
 
     def __init__(self, n: int, r: int, family: Family):
@@ -203,18 +205,14 @@ class IncrementalFreeChecker:
         self.r = r
         self.family = family
         self.masks: list[int] = []
-        # mask -> (its pair bits, its pairs u < v as (u, v, 1 << u, 1 << v))
-        # (expansion) or its even-size sub-masks (cancellative), built once
-        # per mask.
-        self._parts: dict[int, tuple] = {}
+        # mask -> its pair bits (expansion) or its even-size sub-masks
+        # (cancellative), built once per mask.
+        self._parts: dict[int, Union[int, tuple]] = {}
         if isinstance(family, Expansion):
             if family.ell < r:
                 raise ParameterError(f"ell must be >= r={r}, got {family.ell}")
             self.pairs = 0
-            self.adj = [0] * n
-            # (pairs, adj) from before each stored edge was pushed. A push
-            # replaces adj rather than changing it, so saved lists stay valid.
-            self._saved: list[tuple[int, list[int]]] = []
+            self._saved: list[int] = []  # pairs before each stored edge
             # Grown pair bits -> whether they hold an (ell+1)-clique.
             self._verdicts: dict[int, bool] = {}
         elif isinstance(family, Cancellative):
@@ -231,10 +229,9 @@ class IncrementalFreeChecker:
             verts = mask_to_tuple(mask)
             if isinstance(self.family, Expansion):
                 n = self.n
-                pairs = tuple(itertools.combinations(verts, 2))
-                parts = (
-                    sum(1 << (u * n + v) for u, v in pairs),
-                    tuple((u, v, 1 << u, 1 << v) for u, v in pairs),
+                parts = sum(
+                    1 << (u * n + v) | 1 << (v * n + u)
+                    for u, v in itertools.combinations(verts, 2)
                 )
             else:
                 bits = [1 << v for v in verts]
@@ -250,12 +247,12 @@ class IncrementalFreeChecker:
         parts = self._parts_of(mask)
         if isinstance(self.family, Cancellative):
             return self._cancellative_hit(mask, parts)
-        grown = self.pairs | parts[0]
+        grown = self.pairs | parts
         if grown == self.pairs:
             return False
         hit = self._verdicts.get(grown)
         if hit is None:
-            hit = self._verdicts[grown] = self._expansion_hit(parts[1])
+            hit = self._verdicts[grown] = self._expansion_hit(grown)
         return hit
 
     def _cancellative_hit(self, t: int, subs: tuple) -> bool:
@@ -273,33 +270,25 @@ class IncrementalFreeChecker:
                 return True
         return False
 
-    def _grown_adj(self, pairs: tuple) -> list[int]:
-        adj = self.adj[:]
-        for u, v, bu, bv in pairs:
-            adj[u] |= bv
-            adj[v] |= bu
-        return adj
-
-    def _expansion_hit(self, pairs: tuple) -> bool:
+    def _expansion_hit(self, grown: int) -> bool:
         # The stack is free, so a new (ell+1)-clique must use a new pair.
-        old = self.adj
-        adj = self._grown_adj(pairs)
+        n = self.n
+        row = (1 << n) - 1
+        adj = [grown >> (u * n) & row for u in range(n)]
         size = self.family.ell + 1
-        for u, v, _, bv in pairs:
-            if not old[u] & bv and first_clique(
-                adj, (u, v), adj[u] & adj[v], size
-            ) is not None:
+        new = grown & ~self.pairs
+        while new:
+            u, v = divmod((new & -new).bit_length() - 1, n)
+            new &= new - 1
+            if u < v and any(cliques(adj, (u, v), adj[u] & adj[v], size)):
                 return True
         return False
 
     def push(self, mask: int) -> None:
         parts = self._parts_of(mask)
         if isinstance(self.family, Expansion):
-            self._saved.append((self.pairs, self.adj))
-            grown = self.pairs | parts[0]
-            if grown != self.pairs:
-                self.adj = self._grown_adj(parts[1])
-                self.pairs = grown
+            self._saved.append(self.pairs)
+            self.pairs |= parts
         else:
             xors, inside = self.xors, self.inside
             for b in self.masks:
@@ -312,7 +301,7 @@ class IncrementalFreeChecker:
     def pop(self) -> None:
         mask = self.masks.pop()
         if isinstance(self.family, Expansion):
-            self.pairs, self.adj = self._saved.pop()
+            self.pairs = self._saved.pop()
         else:
             xors, inside = self.xors, self.inside
             for b in self.masks:

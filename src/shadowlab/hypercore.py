@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyInputError, ParameterError
 
@@ -220,37 +220,23 @@ def is_two_covered(h: Hypergraph, s: Iterable[int]) -> bool:
 
 
 def clique_set(h: Hypergraph, kmax: int) -> CliqueSet:
-    """All 2-covered sets of size <= kmax, by ordered bitset extension of
-    cliques in the pair-coverage graph."""
+    """All 2-covered sets of size <= kmax: the cliques of the pair-coverage
+    graph, each size in lexicographic order."""
     if kmax < 1:
         raise ParameterError(f"kmax must be >= 1, got {kmax}")
     adj = h.pair_adjacency
-    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(kmax)]
-    by_size[0] = [(v,) for v in range(h.n)]
-    if kmax >= 2:
-        above = [(~((1 << (v + 1)) - 1)) for v in range(h.n)]
-
-        def extend(clique: tuple[int, ...], cand: int) -> None:
-            c = cand
-            while c:
-                v = (c & -c).bit_length() - 1
-                c &= c - 1
-                grown = clique + (v,)
-                by_size[len(grown) - 1].append(grown)
-                if len(grown) < kmax:
-                    extend(grown, cand & adj[v] & above[v])
-
-        for v in range(h.n):
-            extend((v,), adj[v] & above[v])
-    return CliqueSet(kmax, tuple(tuple(g) for g in by_size))
+    full = (1 << h.n) - 1
+    return CliqueSet(
+        kmax, tuple(tuple(cliques(adj, (), full, k)) for k in range(1, kmax + 1))
+    )
 
 
-def first_clique(
+def cliques(
     adj: Sequence[int], clique: tuple[int, ...], cand: int, size: int
-) -> Optional[tuple[int, ...]]:
-    """The least clique of `size` vertices grown from `clique` by vertices of
-    the bitmask `cand`, each new vertex above the last, in the graph whose
-    adjacency bitmasks are `adj`; None if there is none. Needs
+) -> Iterator[tuple[int, ...]]:
+    """The cliques of `size` vertices grown from `clique` by vertices of the
+    bitmask `cand`, each new vertex above the last, in the graph whose
+    adjacency bitmasks are `adj`, in lexicographic order. Needs
     size > len(clique). A branch stops once fewer candidates are left than
     vertices are still needed."""
     need = size - len(clique)
@@ -258,13 +244,10 @@ def first_clique(
     while c.bit_count() >= need:
         v = (c & -c).bit_length() - 1
         c &= c - 1
-        grown = clique + (v,)
         if need == 1:
-            return grown
-        got = first_clique(adj, grown, cand & adj[v] & ~((1 << (v + 1)) - 1), size)
-        if got is not None:
-            return got
-    return None
+            yield clique + (v,)
+        else:
+            yield from cliques(adj, clique + (v,), c & adj[v], size)
 
 
 def z_value(h: Hypergraph, ell: int) -> ZValue:

@@ -255,6 +255,8 @@ def _fit_heuristic(h: Hypergraph, ell: int, cap: int, order, seed: int, restarts
         if removed < best:
             best = removed
             best_labels = labels
+        if not best:  # no restart improves on a fit that removes nothing
+            break
     return best_labels, best
 
 

@@ -335,7 +335,7 @@ class TestBoundSweeps:
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("kind", ["thm1", "thm3", "thm6"])
     def test_incremental_shadow_matches_recomputation(self, kind, n, r):
-        """The sweep's hook-kept shadow bits give the same report as
+        """The sweep's prefix-kept shadow bits give the same report as
         len(shadow(h)) recomputed for every graph the DFS yields."""
         ell = r + 1 if kind == "thm6" else None
         family = {"thm1": None, "thm3": Cancellative(), "thm6": Expansion(ell)}[kind]

@@ -246,7 +246,7 @@ class TestIncrementalChecker:
                 checker.pop()
             assert checker.would_violate(probe) == before
             if isinstance(family, Expansion):
-                assert checker.adj == [0] * 6 and checker.pairs == 0
+                assert checker.pairs == 0
             else:
                 assert checker.xors == {} and checker.inside == {}
 
@@ -278,13 +278,13 @@ class TestIncrementalChecker:
             assert covered[0] == covered[1]
         for e in masks(a):
             checker.push(e)
-        pairs, adj = checker.pairs, checker.adj[:]
+        pairs = checker.pairs
         (extra,) = masks([(0, 1, 3)])
         assert not checker.would_violate(extra)
         checker.push(extra)
-        assert (checker.pairs, checker.adj) == (pairs, adj)
+        assert checker.pairs == pairs
         checker.pop()
-        assert (checker.pairs, checker.adj) == (pairs, adj)
+        assert checker.pairs == pairs
 
     def test_ell_below_r_rejected(self):
         with pytest.raises(ParameterError):

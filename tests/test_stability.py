@@ -177,6 +177,16 @@ class TestPartitionFit:
     def test_heuristic_finds_turan_fit(self, t6):
         assert partition_fit(t6, 3, 6, mode="heuristic").removed == 0
 
+    def test_heuristic_stops_at_a_fit_that_removes_nothing(self, monkeypatch):
+        """The first attempt fits turan(9,3,3) with no removal, and no
+        restart can beat that, so none shuffles its seeding."""
+        def shuffle(self, x):
+            raise AssertionError("restart after a fit that removes nothing")
+
+        monkeypatch.setattr(random.Random, "shuffle", shuffle)
+        fit = partition_fit(turan(9, 3, 3)[0], 3, 9, mode="heuristic")
+        assert fit.removed == 0
+
     def test_matches_brute_force_on_random(self):
         rng = random.Random(8)
         import itertools
