@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import sys
 import time
+from itertools import chain
 from typing import Any, Optional
 
 from . import __version__
@@ -43,45 +43,97 @@ EXIT_BUDGET = 3
 def parse(data: bytes) -> Hypergraph:
     """Parse a UTF-8 edge-list document: header 'r n', one edge per line.
 
-    Lines are decoded as they are read and end at LF, CRLF or CR; blank
-    lines and lines starting with '#' are skipped. The lines stream lazily
-    into `Hypergraph.build`, which checks the header values and every edge
-    and raises at the first bad one; its error is reported at the line read
-    last, which is the header line for a bad r or n."""
+    The whole document is decoded first, so a bad byte anywhere is named at
+    its file offset before any line is read; a leading byte-order mark is
+    dropped. Lines end at LF, CRLF or CR and nowhere else: form feeds and
+    the other Unicode breaks are whitespace inside a line. Blank lines and
+    lines starting with '#' are skipped.
+
+    A well-formed document is read whole (`_bulk_edges`) and its edge list
+    handed to `Hypergraph.build` in one piece. A document that fails any
+    step is read again, a line at a time, by `_walk`. Only the walk words a
+    parse error and picks its line, so the error is always the first bad
+    line's."""
+    text = data.decode("utf-8").removeprefix("\ufeff")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    bulk = _bulk_edges(lines)
+    if bulk is not None:
+        try:
+            return Hypergraph.build(*bulk)
+        except ParameterError:
+            pass
+    return _walk(lines)
+
+
+class _IntOf(dict):
+    """int(token), memoized: an edge list repeats a few distinct tokens."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
+
+
+def _bulk_edges(lines: list[str]) -> Optional[tuple[int, int, list]]:
+    """The header's r and n and the edges as r-tuples, read with whole-list
+    operations, or None when some line is not r integer tokens. Lines are
+    split once to count their tokens and once to chain the tokens into one
+    conversion; no per-line list outlives its line."""
+    for at, line in enumerate(lines):
+        header = line.split()
+        if header and not header[0].startswith("#"):
+            break
+    else:
+        return None
+    body = lines[at + 1:]
+    if "#" in "\n".join(body):
+        body = [line for line in body if not line.lstrip().startswith("#")]
+    counts = set(map(len, map(str.split, body)))
+    counts.discard(0)
+    try:
+        r, n = map(int, header)
+        if counts - {r}:
+            return None
+        if not counts:
+            return r, n, []
+        tokens = map(_IntOf().__getitem__, chain.from_iterable(map(str.split, body)))
+        return r, n, list(zip(*[tokens] * r))
+    except ValueError:
+        return None
+
+
+def _walk(lines: list[str]) -> Hypergraph:
+    """Stream the lines into `Hypergraph.build`, which checks the header
+    values and every edge and raises at the first bad one; its error is
+    reported at the line read last, which is the header line for a bad r
+    or n."""
     lineno = 0
 
     def rows():
         nonlocal lineno
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
-        try:
-            for lineno, raw in enumerate(text, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    yield tuple(int(tok) for tok in line.split())
-                except ValueError:
-                    raise EdgeListParseError(lineno, f"non-integer token in {line!r}")
-        except UnicodeDecodeError:
-            data.decode()  # names the bad byte's file offset, not its chunk's
-            raise
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                yield tuple(int(tok) for tok in line.split())
+            except ValueError:
+                raise EdgeListParseError(lineno, f"non-integer token in {line!r}")
 
-    lines = rows()
-    header = next(lines, None)
+    edges = rows()
+    header = next(edges, None)
     if header is None:
         raise EdgeListParseError(1, "missing 'r n' header")
     if len(header) != 2:
         raise EdgeListParseError(lineno, "header must be exactly 'r n'")
     try:
-        return Hypergraph.build(header[0], header[1], lines)
+        return Hypergraph.build(header[0], header[1], edges)
     except ParameterError as exc:
         raise EdgeListParseError(lineno, str(exc)) from None
 
 
 def serialize(h: Hypergraph) -> str:
-    lines = [f"{h.r} {h.n}"]
-    lines.extend(" ".join(map(str, e)) for e in h.edges)
-    return "\n".join(lines) + "\n"
+    edge = " ".join(["%d"] * h.r) + "\n"
+    return f"{h.r} {h.n}\n" + "".join(map(edge.__mod__, h.edges))
 
 
 def _jsonable(value: Any) -> Any:

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, repeat
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations, islice, repeat
+from operator import lt
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EmptyInputError, ParameterError
 
@@ -36,6 +37,46 @@ def mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _increasing_columns(r: int, edges: Sequence[tuple[int, ...]]) -> Optional[list[list[int]]]:
+    """The vertex columns of the edges, or None unless every edge increases."""
+    flat = list(chain.from_iterable(edges))
+    columns = [flat[i::r] for i in range(r)]
+    if all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
+        return columns
+    return None
+
+
+def _screened(r: int, n: int, edges: Sequence) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The sorted edges of a valid list of r-tuples, checked a column at a
+    time at C speed, or None when a check fails and `Hypergraph.build` must
+    walk the list to word the error. Columns must increase strictly along
+    each edge; a list that does not is sorted once, edge by edge, and
+    checked again, which also finds repeated vertices. The first and last
+    columns give the vertex range. A list in strictly increasing order has
+    no duplicate edges; any other list is checked for them with a set, and
+    sorted."""
+    if not edges:
+        return ()
+    if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {r}:
+        return None
+    try:
+        columns = _increasing_columns(r, edges)
+        if columns is None:
+            edges = [tuple(sorted(e)) for e in edges]
+            columns = _increasing_columns(r, edges)
+            if columns is None:
+                return None
+        if min(columns[0]) < 0 or max(columns[-1]) >= n:
+            return None
+        if all(map(lt, edges, islice(edges, 1, None))):  # sorted, so no duplicates
+            return tuple(edges)
+        if len(set(edges)) != len(edges):
+            return None
+    except TypeError:  # vertices that do not compare or hash
+        return None
+    return tuple(sorted(edges))
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """An r-uniform hypergraph on vertex set {0..n-1}.
@@ -49,9 +90,13 @@ class Hypergraph:
     `constructions` whose edges are valid by construction do, and a test
     checks each of them against `build`.
 
-    `build` is the one validator of an edge list from outside. It reads the
-    edges once, in input order, and raises `ParameterError` at the first
-    bad edge; `cli.parse` relies on that order to name the offending line.
+    `build` is the one validator of an edge list from outside. A list or
+    tuple of r-tuples first goes through a screen that checks the whole
+    list at once (see `_screened`). Any other input, and a list the screen
+    refuses, is walked once in input order, and the walk raises
+    `ParameterError` at the first bad edge; `cli.parse` relies on that
+    order to name the offending line. Both paths accept the same lists and
+    return the same graph.
     """
 
     r: int
@@ -64,6 +109,10 @@ class Hypergraph:
             raise ParameterError(f"uniformity must be >= 1, got {r}")
         if n < 0:
             raise ParameterError(f"vertex count must be >= 0, got {n}")
+        if isinstance(edges, (list, tuple)):
+            screened = _screened(r, n, edges)
+            if screened is not None:
+                return Hypergraph(r, n, screened)
         # A dict keeps input order, so the final sort is linear on sorted input.
         seen: dict[tuple[int, ...], None] = {}
         for e in edges:

@@ -1,6 +1,7 @@
 """CLI surface: edge-list format, reports, exit codes, revalidation."""
 
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -22,7 +23,7 @@ from shadowlab.cli import (
     run,
     serialize,
 )
-from shadowlab.errors import EdgeListParseError
+from shadowlab.errors import EdgeListParseError, ParameterError
 from shadowlab.extremal import random_free_graph
 
 
@@ -36,6 +37,129 @@ def write_turan(path):
 
 def load_report(path):
     return json.loads(path.read_text())
+
+
+def reference_parse(data: bytes) -> Hypergraph:
+    """The line-at-a-time reader that `parse` used before it read whole
+    documents, kept with its edge walk (`reference_build`) as the oracle of
+    the differential test. It takes valid UTF-8 without a byte-order mark."""
+    lineno = 0
+
+    def rows():
+        nonlocal lineno
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
+        for lineno, raw in enumerate(text, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                yield tuple(int(tok) for tok in line.split())
+            except ValueError:
+                raise EdgeListParseError(lineno, f"non-integer token in {line!r}")
+
+    lines = rows()
+    header = next(lines, None)
+    if header is None:
+        raise EdgeListParseError(1, "missing 'r n' header")
+    if len(header) != 2:
+        raise EdgeListParseError(lineno, "header must be exactly 'r n'")
+    try:
+        return reference_build(header[0], header[1], lines)
+    except ParameterError as exc:
+        raise EdgeListParseError(lineno, str(exc)) from None
+
+
+def reference_build(r, n, edges) -> Hypergraph:
+    if r < 1:
+        raise ParameterError(f"uniformity must be >= 1, got {r}")
+    if n < 0:
+        raise ParameterError(f"vertex count must be >= 0, got {n}")
+    seen = {}
+    for e in edges:
+        t = tuple(sorted(e))
+        if len(t) != r:
+            raise ParameterError(f"expected {r} vertices, got {len(t)}")
+        if len(set(t)) != r:
+            raise ParameterError(f"repeated vertex in edge {t}")
+        if t[0] < 0 or t[-1] >= n:
+            bad = t[0] if t[0] < 0 else t[-1]
+            raise ParameterError(f"vertex {bad} outside 0..{n - 1}")
+        if t in seen:
+            raise ParameterError(f"duplicate edge {t}")
+        seen[t] = None
+    return Hypergraph(r, n, tuple(sorted(seen)))
+
+
+# In-line whitespace: `str.split` breaks at all of it, line reading at none.
+# A plain space is listed twice so that it is drawn more often.
+_IN_LINE_SPACES = [" ", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+_SKIPPED_LINES = ["# note", "  # indented", "#", "", "   ", "\x0c", "\x85 ", "\u2028"]
+
+
+@st.composite
+def edge_list_documents(draw):
+    """A document of mostly valid edges, sorted or not, with up to two
+    faults, comment and blank lines, unusual integer spellings and
+    in-line whitespace, and LF, CRLF or CR line ends."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 12))
+
+    def line(tokens):
+        spaces = [draw(st.sampled_from(_IN_LINE_SPACES)) for _ in range(len(tokens) + 1)]
+        lead = spaces[0] if draw(st.booleans()) else ""
+        body = "".join(tok + gap for tok, gap in zip(tokens, spaces[1:]))
+        return lead + (body if draw(st.booleans()) else body.rstrip(spaces[-1]))
+
+    def token(v):
+        spelling = draw(st.sampled_from(["plain", "plain", "plus", "underscore"]))
+        if spelling == "plus" and v >= 0:
+            return f"+{v}"
+        if spelling == "underscore" and v >= 10:
+            return f"{v // 10}_{v % 10}"
+        return str(v)
+
+    candidates = list(itertools.combinations(range(n), r))
+    edges = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=16)
+                 if candidates else st.just([]))
+    rows = [(draw(st.permutations(e)) if draw(st.booleans()) else e, None) for e in edges]
+    vertex = st.integers(0, max(n - 1, 0))
+    for fault in draw(st.lists(st.sampled_from(
+            ["duplicate", "repeated", "range", "arity", "word", "hash"]), max_size=2)):
+        row = draw(st.lists(vertex, min_size=r, max_size=r))
+        if fault == "duplicate" and edges:
+            row = draw(st.permutations(draw(st.sampled_from(edges))))
+        elif fault == "repeated" and r > 1:
+            row[-1] = row[0]
+        elif fault == "range":
+            row[-1] = draw(st.sampled_from([-1, n, n + 7]))
+        elif fault == "arity":
+            row.append(draw(vertex))
+        rows.insert(draw(st.integers(0, len(rows))), (row, fault))
+    texts = []
+    for row, fault in rows:
+        tokens = [token(v) for v in row]
+        if fault == "word":
+            tokens[-1] = "x"
+        elif fault == "hash":
+            tokens[-1] = "#" + tokens[-1]
+        texts.append(line(tokens))
+    header = draw(st.sampled_from([line([str(r), str(n)])] * 20 + [
+        f"{r}", f"{r} {n} 1", f"x {n}", f"0 {n}", f"{r} -1"]))
+    lines = [*draw(st.lists(st.sampled_from(_SKIPPED_LINES), max_size=2)), header]
+    for text in texts:
+        lines += draw(st.lists(st.sampled_from(_SKIPPED_LINES), max_size=1))
+        lines.append(text)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends)).encode()
+
+
+def parse_outcome(parse_document, data):
+    try:
+        return parse_document(data)
+    except EdgeListParseError as exc:
+        return exc.line, str(exc)
 
 
 class TestEdgeListFormat:
@@ -120,6 +244,29 @@ class TestEdgeListFormat:
         assert parse(lf.replace("\n", newline).encode()) == parse(lf.encode())
         with pytest.raises(EdgeListParseError, match="line 4: .*repeated vertex"):
             parse(newline.join(["3 5", "0 1 2", "# note", "0 1 1", "1 2 3"]).encode())
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_documents())
+    def test_parse_agrees_with_the_line_reader(self, data):
+        """The whole-document reader returns the graph, or raises the error
+        at the line, that the line-at-a-time reader does."""
+        assert parse_outcome(parse, data) == parse_outcome(reference_parse, data)
+
+    def test_byte_order_mark_and_crlf(self):
+        lf = "# shape\n3 5\n0 1 2\n1 3 4\n"
+        bom_crlf = b"\xef\xbb\xbf" + lf.replace("\n", "\r\n").encode()
+        assert parse(bom_crlf) == parse(lf.encode())
+        assert parse(bom_crlf).edges == ((0, 1, 2), (1, 3, 4))
+
+    def test_bad_byte_after_byte_order_mark_named_at_its_file_offset(self):
+        with pytest.raises(UnicodeDecodeError) as info:
+            parse(b"\xef\xbb\xbf3 4\n0 1 \xff\n")
+        assert info.value.start == 11
+
+    def test_first_bad_line_named_before_a_later_non_integer(self):
+        with pytest.raises(EdgeListParseError, match="line 3: repeated vertex") as info:
+            parse(b"3 5\n0 1 2\n0 1 1\n1 2 3\n0 x 2\n")
+        assert info.value.line == 3
 
     def test_serialize_parse_identity_on_constructions(self, t6, k4):
         for h in (t6, k4):
@@ -301,6 +448,19 @@ class TestExitCodes:
         assert run(["check", "--input", str(bad),
                     "--family", "cancellative"]) == EXIT_USAGE
         assert "position 9000" in capsys.readouterr().err
+
+    def test_document_decoded_before_any_line(self, tmp_path, capsys):
+        # A bad edge on line 2 and a bad byte past the first 8 KiB: the
+        # whole document is decoded first, so the byte is reported.
+        lines = serialize(complete(30, 3)).encode().split(b"\n")
+        lines[1] = b"0 0 1"
+        good = b"\n".join(lines)
+        bad = tmp_path / "bad.hg"
+        bad.write_bytes(good[:9000] + b"\xff" + good[9000:])
+        assert run(["check", "--input", str(bad),
+                    "--family", "cancellative"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "position 9000" in err and "line 2" not in err
 
     @pytest.mark.parametrize("flags", [
         ["--family", "turan", "--n", "6", "--r", "3"],

@@ -56,6 +56,31 @@ class TestBuild:
         with pytest.raises(ParameterError):
             Hypergraph.build(3, 5, [(0, 1, 1)])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_screen_agrees_with_the_walk(self, data):
+        """A list goes through the whole-list screen, an iterator through
+        the edge-by-edge walk; both give the same graph or the same error."""
+        r = data.draw(st.integers(1, 3), label="r")
+        n = data.draw(st.integers(0, 6), label="n")
+        vertex = st.integers(-1, n)
+        edge = st.one_of(
+            st.lists(vertex, min_size=r, max_size=r),
+            st.lists(vertex, min_size=max(r - 1, 1), max_size=r + 1),
+        ).map(tuple)
+        edges = data.draw(st.lists(edge, max_size=8), label="edges")
+        outcomes = []
+        for given_edges in (edges, iter(edges)):
+            try:
+                outcomes.append(Hypergraph.build(r, n, given_edges))
+            except ParameterError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_lists_of_lists_are_walked(self):
+        h = Hypergraph.build(3, 5, [[4, 3, 2], [0, 1, 2]])
+        assert h.edges == ((0, 1, 2), (2, 3, 4))
+
     def test_induced_keeps_labels(self, t6):
         sub = t6.induced([0, 1, 2, 5])
         assert sub.n == t6.n
