@@ -31,7 +31,6 @@ from .hypercore import (
     clique_set,
     is_two_covered,
     link,
-    neighborhood,
     shadow,
     shadow_i,
     sigma,
@@ -59,7 +58,6 @@ __all__ = [
     "is_free",
     "is_two_covered",
     "link",
-    "neighborhood",
     "perturb",
     "shadow",
     "shadow_i",

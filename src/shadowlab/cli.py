@@ -17,13 +17,15 @@ import json
 import math
 import sys
 import time
-from itertools import chain
+from itertools import islice, repeat
+from operator import contains
 from typing import Any, Optional
 
 from . import __version__
 from .bounds import bound_report_for, lemma14_check, lemma9_check
 from .constructions import clique_expansion_graph, complete, fano, turan, turan_padded
 from .errors import (
+    EdgeError,
     EdgeListParseError,
     ParameterError,
     ResourceBudgetError,
@@ -49,86 +51,58 @@ def parse(data: bytes) -> Hypergraph:
     the other Unicode breaks are whitespace inside a line. Blank lines and
     lines starting with '#' are skipped.
 
-    A well-formed document is read whole (`_bulk_edges`) and its edge list
-    handed to `Hypergraph.build` in one piece. A document that fails any
-    step is read again, a line at a time, by `_walk`. Only the walk words a
-    parse error and picks its line, so the error is always the first bad
-    line's."""
+    Every other line becomes a tuple of its tokens' values, each token read
+    once through a memo of `int` (`_IntOf`) that maps a non-integer token
+    to None. `Hypergraph.build` gets the edge lines before the first line
+    with a non-integer token, all at once, and names its first bad edge by
+    index; if it accepts them, that line is the error. So the error is
+    always the first bad line's, as a line-by-line reader would find it,
+    and line numbers are counted only once an error is raised."""
     text = data.decode("utf-8").removeprefix("\ufeff")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    bulk = _bulk_edges(lines)
-    if bulk is not None:
+    if "#" in text:
+        lines = ["" if line.lstrip().startswith("#") else line for line in lines]
+    value = _IntOf()
+    rows = map(map, repeat(value.__getitem__), map(str.split, lines))
+    rows = list(filter(None, map(tuple, rows)))
+    if not rows:
+        raise EdgeListParseError(1, "missing 'r n' header")
+    # rows[word] is the first row with a non-integer token, if any is.
+    word = len(rows)
+    if None in value.values():
+        word = bytes(map(contains, rows, repeat(None))).find(1)
+    header = rows[0]
+    if word == 0:
+        bad, message = 0, None
+    elif len(header) != 2:
+        bad, message = 0, "header must be exactly 'r n'"
+    else:
         try:
-            return Hypergraph.build(*bulk)
-        except ParameterError:
-            pass
-    return _walk(lines)
+            h = Hypergraph.build(header[0], header[1], rows[1:word])
+        except EdgeError as exc:
+            bad, message = exc.index + 1, str(exc)
+        except ParameterError as exc:
+            bad, message = 0, str(exc)
+        else:
+            if word == len(rows):
+                return h
+            bad, message = word, None
+    at, line = next(islice(
+        ((at, line.strip()) for at, line in enumerate(lines, 1) if line.split()), bad, None))
+    raise EdgeListParseError(at, message or f"non-integer token in {line!r}")
 
 
 class _IntOf(dict):
-    """int(token), memoized: an edge list repeats a few distinct tokens."""
+    """int(token), or None for a non-integer token, memoized: an edge list
+    repeats a few distinct tokens."""
 
-    def __missing__(self, token: str) -> int:
-        value = self[token] = int(token)
+    def __missing__(self, token: str) -> Optional[int]:
+        try:
+            value = int(token)
+        except ValueError:
+            value = None
+        self[token] = value
         return value
-
-
-def _bulk_edges(lines: list[str]) -> Optional[tuple[int, int, list]]:
-    """The header's r and n and the edges as r-tuples, read with whole-list
-    operations, or None when some line is not r integer tokens. Lines are
-    split once to count their tokens and once to chain the tokens into one
-    conversion; no per-line list outlives its line."""
-    for at, line in enumerate(lines):
-        header = line.split()
-        if header and not header[0].startswith("#"):
-            break
-    else:
-        return None
-    body = lines[at + 1:]
-    if "#" in "\n".join(body):
-        body = [line for line in body if not line.lstrip().startswith("#")]
-    counts = set(map(len, map(str.split, body)))
-    counts.discard(0)
-    try:
-        r, n = map(int, header)
-        if counts - {r}:
-            return None
-        if not counts:
-            return r, n, []
-        tokens = map(_IntOf().__getitem__, chain.from_iterable(map(str.split, body)))
-        return r, n, list(zip(*[tokens] * r))
-    except ValueError:
-        return None
-
-
-def _walk(lines: list[str]) -> Hypergraph:
-    """Stream the lines into `Hypergraph.build`, which checks the header
-    values and every edge and raises at the first bad one; its error is
-    reported at the line read last, which is the header line for a bad r
-    or n."""
-    lineno = 0
-
-    def rows():
-        nonlocal lineno
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                yield tuple(int(tok) for tok in line.split())
-            except ValueError:
-                raise EdgeListParseError(lineno, f"non-integer token in {line!r}")
-
-    edges = rows()
-    header = next(edges, None)
-    if header is None:
-        raise EdgeListParseError(1, "missing 'r n' header")
-    if len(header) != 2:
-        raise EdgeListParseError(lineno, "header must be exactly 'r n'")
-    try:
-        return Hypergraph.build(header[0], header[1], edges)
-    except ParameterError as exc:
-        raise EdgeListParseError(lineno, str(exc)) from None
 
 
 def serialize(h: Hypergraph) -> str:
@@ -137,6 +111,10 @@ def serialize(h: Hypergraph) -> str:
 
 
 def _jsonable(value: Any) -> Any:
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: _jsonable(getattr(value, f.name))
@@ -148,8 +126,6 @@ def _jsonable(value: Any) -> Any:
         return value.decode("ascii")
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
     return value
 
 
@@ -192,6 +168,17 @@ def _write_report(args, command: list[str], digest: Optional[str], results: list
         sys.stdout.write(text)
 
 
+# Each construct family: the flags it requires, and its builder, which
+# takes their values in that order.
+_CONSTRUCTIONS = {
+    "complete": (("n", "r"), complete),
+    "turan": (("n", "l", "r"), lambda n, ell, r: turan(n, ell, r)[0]),
+    "turan_padded": (("n", "m", "l", "r"), turan_padded),
+    "expansion": (("l", "r"), clique_expansion_graph),
+    "fano": ((), fano),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shadowlab")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -200,8 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="report output path (default: stdout)")
 
     p = sub.add_parser("construct", help="write a named hypergraph as an edge list")
-    p.add_argument("--family", required=True,
-                   choices=["complete", "turan", "turan_padded", "expansion", "fano"])
+    p.add_argument("--family", required=True, choices=list(_CONSTRUCTIONS))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--l", type=int)
@@ -264,31 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The flags each construct family reads.
-_CONSTRUCT_FLAGS = {
-    "complete": ("n", "r"),
-    "turan": ("n", "l", "r"),
-    "turan_padded": ("n", "m", "l", "r"),
-    "expansion": ("l", "r"),
-    "fano": (),
-}
-
-
 def _cmd_construct(args) -> tuple[int, Optional[str], list]:
-    fam = args.family
-    missing = [f"--{k}" for k in _CONSTRUCT_FLAGS[fam] if getattr(args, k) is None]
+    flags, builder = _CONSTRUCTIONS[args.family]
+    missing = [f"--{k}" for k in flags if getattr(args, k) is None]
     if missing:
-        raise ParameterError(f"--family {fam} requires {' '.join(missing)}")
-    if fam == "complete":
-        h = complete(args.n, args.r)
-    elif fam == "turan":
-        h, _ = turan(args.n, args.l, args.r)
-    elif fam == "turan_padded":
-        h = turan_padded(args.n, args.m, args.l, args.r)
-    elif fam == "expansion":
-        h = clique_expansion_graph(args.l, args.r)
-    else:
-        h = fano()
+        raise ParameterError(f"--family {args.family} requires {' '.join(missing)}")
+    h = builder(*(getattr(args, k) for k in flags))
     text = serialize(h)
     if args.out:
         with open(args.out, "w") as fh:

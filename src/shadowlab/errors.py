@@ -9,6 +9,15 @@ class ParameterError(ShadowlabError):
     """A call violated a documented parameter precondition."""
 
 
+class EdgeError(ParameterError):
+    """An edge list broke an edge rule; carries the 0-based index of its
+    first bad edge."""
+
+    def __init__(self, index, message):
+        super().__init__(message)
+        self.index = index
+
+
 class EmptyInputError(ShadowlabError):
     """An operation that needs a nonempty hypergraph received an empty one."""
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, islice, repeat
-from operator import lt
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, combinations, count, islice, repeat
+from operator import ge, lt, ne
+from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyInputError, ParameterError
+from .errors import EdgeError, EmptyInputError, ParameterError
 
 
 def _mask(edge: Iterable[int]) -> int:
@@ -37,44 +37,22 @@ def mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _increasing_columns(r: int, edges: Sequence[tuple[int, ...]]) -> Optional[list[list[int]]]:
-    """The vertex columns of the edges, or None unless every edge increases."""
+def _first(flags: Iterable[bool], end: int) -> int:
+    """The index of the first true flag before `end`, or `end` if none is."""
+    at = bytes(flags).find(1, 0, end)
+    return end if at < 0 else at
+
+
+def _columns(edges: Sequence[tuple[int, ...]], r: int) -> list[list[int]]:
+    """The vertex columns of a list of r-tuples: columns[i][j] = edges[j][i].
+    An empty list has none, so a huge r from outside allocates nothing."""
     flat = list(chain.from_iterable(edges))
-    columns = [flat[i::r] for i in range(r)]
-    if all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
-        return columns
-    return None
+    return [flat[i::r] for i in range(r)] if flat else []
 
 
-def _screened(r: int, n: int, edges: Sequence) -> Optional[tuple[tuple[int, ...], ...]]:
-    """The sorted edges of a valid list of r-tuples, checked a column at a
-    time at C speed, or None when a check fails and `Hypergraph.build` must
-    walk the list to word the error. Columns must increase strictly along
-    each edge; a list that does not is sorted once, edge by edge, and
-    checked again, which also finds repeated vertices. The first and last
-    columns give the vertex range. A list in strictly increasing order has
-    no duplicate edges; any other list is checked for them with a set, and
-    sorted."""
-    if not edges:
-        return ()
-    if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {r}:
-        return None
-    try:
-        columns = _increasing_columns(r, edges)
-        if columns is None:
-            edges = [tuple(sorted(e)) for e in edges]
-            columns = _increasing_columns(r, edges)
-            if columns is None:
-                return None
-        if min(columns[0]) < 0 or max(columns[-1]) >= n:
-            return None
-        if all(map(lt, edges, islice(edges, 1, None))):  # sorted, so no duplicates
-            return tuple(edges)
-        if len(set(edges)) != len(edges):
-            return None
-    except TypeError:  # vertices that do not compare or hash
-        return None
-    return tuple(sorted(edges))
+def _increasing(columns: list[list[int]]) -> bool:
+    """Whether the vertices of every edge strictly increase, by columns."""
+    return all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
 
 
 @dataclass(frozen=True)
@@ -90,13 +68,14 @@ class Hypergraph:
     `constructions` whose edges are valid by construction do, and a test
     checks each of them against `build`.
 
-    `build` is the one validator of an edge list from outside. A list or
-    tuple of r-tuples first goes through a screen that checks the whole
-    list at once (see `_screened`). Any other input, and a list the screen
-    refuses, is walked once in input order, and the walk raises
-    `ParameterError` at the first bad edge; `cli.parse` relies on that
-    order to name the offending line. Both paths accept the same lists and
-    return the same graph.
+    `build` is the one validator of an edge list from outside. Each edge
+    must have r vertices (arity), no repeated vertex, every vertex in
+    0..n-1 (range), and must not equal an earlier edge (duplicate). The
+    rules are checked in that order, each over the whole list at once; a
+    rule looks only at the edges before the first fault found so far, so
+    the `EdgeError` raised names the first bad edge, by its index, and the
+    first rule that edge breaks, as an edge-by-edge walk would.
+    `cli.parse` maps that index back to a line of the document.
     """
 
     r: int
@@ -109,25 +88,38 @@ class Hypergraph:
             raise ParameterError(f"uniformity must be >= 1, got {r}")
         if n < 0:
             raise ParameterError(f"vertex count must be >= 0, got {n}")
-        if isinstance(edges, (list, tuple)):
-            screened = _screened(r, n, edges)
-            if screened is not None:
-                return Hypergraph(r, n, screened)
-        # A dict keeps input order, so the final sort is linear on sorted input.
-        seen: dict[tuple[int, ...], None] = {}
-        for e in edges:
-            t = tuple(sorted(e))
-            if len(t) != r:
-                raise ParameterError(f"expected {r} vertices, got {len(t)}")
-            if len(set(t)) != r:
-                raise ParameterError(f"repeated vertex in edge {t}")
-            if t[0] < 0 or t[-1] >= n:
-                bad = t[0] if t[0] < 0 else t[-1]
-                raise ParameterError(f"vertex {bad} outside 0..{n - 1}")
-            if t in seen:
-                raise ParameterError(f"duplicate edge {t}")
-            seen[t] = None
-        return Hypergraph(r, n, tuple(sorted(seen)))
+        edges = list(map(tuple, edges))
+        end, error = len(edges), None
+        # Each rule is tested on the whole list first, and only a rule that
+        # fails looks for its first bad edge among those before `end`.
+        lengths = list(map(len, edges))
+        if lengths.count(r) < end:
+            end = _first(map(ne, lengths, repeat(r)), end)
+            error = f"expected {r} vertices, got {lengths[end]}"
+            del edges[end:]
+        columns = _columns(edges, r)
+        if not _increasing(columns):
+            edges = list(map(tuple, map(sorted, edges)))
+            columns = _columns(edges, r)
+            if not _increasing(columns):
+                end = min(_first(map(ge, a, b), end) for a, b in zip(columns, columns[1:]))
+                error = f"repeated vertex in edge {edges[end]}"
+        if edges and (min(columns[0]) < 0 or max(columns[-1]) >= n):
+            at = min(_first(map(lt, columns[0], repeat(0)), end),
+                     _first(map(ge, columns[-1], repeat(n)), end))
+            if at < end:
+                t = edges[at]
+                end, error = at, f"vertex {t[0] if t[0] < 0 else t[-1]} outside 0..{n - 1}"
+        del edges[end:]
+        ordered = all(map(lt, edges, islice(edges, 1, None)))
+        if not ordered and len(set(edges)) < end:
+            # setdefault hands back an edge's first index, so only a repeat
+            # of an earlier edge gets an index other than its own.
+            end = bytes(map(ne, map({}.setdefault, edges, count()), count())).find(1)
+            error = f"duplicate edge {edges[end]}"
+        if error is not None:
+            raise EdgeError(end, error)
+        return Hypergraph(r, n, tuple(edges) if ordered else tuple(sorted(edges)))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -230,20 +222,6 @@ def link(h: Hypergraph, v: int) -> Hypergraph:
         tuple(u for u in e if u != v) for e in h.edges if v in e
     )
     return Hypergraph(h.r - 1, h.n, kept)
-
-
-def neighborhood(h: Hypergraph, s: Iterable[int]) -> frozenset[int]:
-    """Vertices outside S lying in a common edge with all of S."""
-    sm = _mask(s)
-    if bin(sm).count("1") >= h.r:
-        raise ParameterError(
-            f"neighborhood is defined for sets of size <= {h.r - 1}"
-        )
-    out = 0
-    for m in h.edge_masks:
-        if sm & ~m == 0:
-            out |= m & ~sm
-    return frozenset(mask_to_tuple(out))
 
 
 def sigma(h: Hypergraph, s: Iterable[int]) -> int:

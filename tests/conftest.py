@@ -1,9 +1,11 @@
 """Shared fixtures: the standard small instances and the seeded random
-corpora reused by the property and acceptance suites."""
+corpora reused by the property and acceptance suites, and the edge-by-edge
+walk that `Hypergraph.build` is checked against."""
 
 import pytest
 
-from shadowlab import Cancellative, Expansion, complete, turan
+from shadowlab import Cancellative, Expansion, Hypergraph, complete, turan
+from shadowlab.errors import ParameterError
 from shadowlab.extremal import enumerate_free_classes, random_free_graph
 
 RANDOM_CORPUS_SIZE = 10_000
@@ -22,6 +24,30 @@ def t6_parts():
 @pytest.fixture(scope="session")
 def k4():
     return complete(4, 3)
+
+
+def reference_build(r, n, edges) -> Hypergraph:
+    """The edge-by-edge walk: each edge in input order, sorted, must have r
+    vertices, no repeated vertex, every vertex in 0..n-1 and must not equal
+    an earlier edge; the first broken rule raises."""
+    if r < 1:
+        raise ParameterError(f"uniformity must be >= 1, got {r}")
+    if n < 0:
+        raise ParameterError(f"vertex count must be >= 0, got {n}")
+    seen = {}
+    for e in edges:
+        t = tuple(sorted(e))
+        if len(t) != r:
+            raise ParameterError(f"expected {r} vertices, got {len(t)}")
+        if len(set(t)) != r:
+            raise ParameterError(f"repeated vertex in edge {t}")
+        if t[0] < 0 or t[-1] >= n:
+            bad = t[0] if t[0] < 0 else t[-1]
+            raise ParameterError(f"vertex {bad} outside 0..{n - 1}")
+        if t in seen:
+            raise ParameterError(f"duplicate edge {t}")
+        seen[t] = None
+    return Hypergraph(r, n, tuple(sorted(seen)))
 
 
 def _corpus(family, base_seed):

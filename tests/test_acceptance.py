@@ -16,7 +16,6 @@ from shadowlab import (
     Hypergraph,
     clique_set,
     link,
-    neighborhood,
     perturb,
     shadow,
     sigma,
@@ -113,11 +112,16 @@ def _lemma8_holds(h):
     return all(sigma(h, s) <= p for s in clique_set(h, h.n).all())
 
 
+def _neighborhood(h, s):
+    """The vertices outside S that lie in a common edge with all of S."""
+    return {v for e in h.edges if set(s) <= set(e) for v in e if v not in s}
+
+
 def _lemma10_holds(h):
     for v in range(h.n):
-        nv = neighborhood(h, (v,))
+        nv = _neighborhood(h, (v,))
         for a in link(h, v).edges:
-            if neighborhood(h, a) & nv:
+            if _neighborhood(h, a) & nv:
                 return False
     return True
 

@@ -24,6 +24,8 @@ from shadowlab.cli import (
     serialize,
 )
 from shadowlab.errors import EdgeListParseError, ParameterError
+
+from conftest import reference_build
 from shadowlab.extremal import random_free_graph
 
 
@@ -67,27 +69,6 @@ def reference_parse(data: bytes) -> Hypergraph:
         return reference_build(header[0], header[1], lines)
     except ParameterError as exc:
         raise EdgeListParseError(lineno, str(exc)) from None
-
-
-def reference_build(r, n, edges) -> Hypergraph:
-    if r < 1:
-        raise ParameterError(f"uniformity must be >= 1, got {r}")
-    if n < 0:
-        raise ParameterError(f"vertex count must be >= 0, got {n}")
-    seen = {}
-    for e in edges:
-        t = tuple(sorted(e))
-        if len(t) != r:
-            raise ParameterError(f"expected {r} vertices, got {len(t)}")
-        if len(set(t)) != r:
-            raise ParameterError(f"repeated vertex in edge {t}")
-        if t[0] < 0 or t[-1] >= n:
-            bad = t[0] if t[0] < 0 else t[-1]
-            raise ParameterError(f"vertex {bad} outside 0..{n - 1}")
-        if t in seen:
-            raise ParameterError(f"duplicate edge {t}")
-        seen[t] = None
-    return Hypergraph(r, n, tuple(sorted(seen)))
 
 
 # In-line whitespace: `str.split` breaks at all of it, line reading at none.

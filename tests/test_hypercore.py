@@ -1,7 +1,12 @@
 """Shadow/link/degree/clique primitives."""
 
 import itertools
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +18,6 @@ from shadowlab import (
     complete,
     is_two_covered,
     link,
-    neighborhood,
     shadow,
     shadow_i,
     sigma,
@@ -21,7 +25,11 @@ from shadowlab import (
     turan,
     z_value,
 )
-from shadowlab.errors import EmptyInputError, ParameterError
+from shadowlab.errors import EdgeError, EmptyInputError, ParameterError
+
+from conftest import reference_build
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_hypergraphs(max_n=7, r=3):
@@ -58,9 +66,9 @@ class TestBuild:
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_screen_agrees_with_the_walk(self, data):
-        """A list goes through the whole-list screen, an iterator through
-        the edge-by-edge walk; both give the same graph or the same error."""
+    def test_build_agrees_with_the_reference_walk(self, data):
+        """A list and an iterator of the same edges give the walk's graph,
+        or its error at the index of the walk's first bad edge."""
         r = data.draw(st.integers(1, 3), label="r")
         n = data.draw(st.integers(0, 6), label="n")
         vertex = st.integers(-1, n)
@@ -69,15 +77,57 @@ class TestBuild:
             st.lists(vertex, min_size=max(r - 1, 1), max_size=r + 1),
         ).map(tuple)
         edges = data.draw(st.lists(edge, max_size=8), label="edges")
-        outcomes = []
+        try:
+            expected = reference_build(r, n, edges)
+        except ParameterError as exc:
+            expected = str(exc)
         for given_edges in (edges, iter(edges)):
             try:
-                outcomes.append(Hypergraph.build(r, n, given_edges))
-            except ParameterError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+                assert Hypergraph.build(r, n, given_edges) == expected
+            except EdgeError as exc:
+                assert str(exc) == expected
+                reference_build(r, n, edges[:exc.index])
+                with pytest.raises(ParameterError, match=re.escape(expected)):
+                    reference_build(r, n, edges[:exc.index + 1])
 
-    def test_lists_of_lists_are_walked(self):
+    @pytest.mark.parametrize("edges, index, words", [
+        ([(0, 1, 2), (0, 1)], 1, "expected 3 vertices, got 2"),
+        ([(0, 1, 2), (1, 2, 3), (2, 0, 2)], 2, "repeated vertex in edge (0, 2, 2)"),
+        ([(0, 1, 2), (4, 5, 1)], 1, "vertex 5 outside 0..4"),
+        ([(0, 1, 2), (0, -1, 2)], 1, "vertex -1 outside 0..4"),
+        ([(0, 1, 2), (1, 2, 3), (2, 3, 4), (2, 1, 0)], 3, "duplicate edge (0, 1, 2)"),
+        ([(0, 1, 2), (1, 2, 3), (2, 3, 4), (2, 1, 0), (0, 1, 3), (0, 1, 5)], 3,
+         "duplicate edge (0, 1, 2)"),
+        ([(0, 1, 2), (0, 1, 5), (1, 2, 3), (1, 1, 2), (0, 1)], 1, "vertex 5 outside 0..4"),
+        ([(0, 1, 2), (0, 1), (0, 0, 1), (0, 1, 9), (2, 1, 0)], 1, "expected 3 vertices"),
+    ])
+    def test_error_carries_the_first_bad_edge(self, edges, index, words):
+        """Each rule names its edge by index, and the earlier of two faults
+        wins whatever their rules."""
+        with pytest.raises(EdgeError, match=re.escape(words)) as info:
+            Hypergraph.build(3, 5, edges)
+        assert info.value.index == index
+
+    def test_huge_uniformity_sizes_nothing(self):
+        """r comes from outside, so an empty or refused list must allocate
+        nothing by it; the child process has 512 MB of address space."""
+        code = "\n".join([
+            "import resource",
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))",
+            "from shadowlab import Hypergraph",
+            "from shadowlab.errors import EdgeError",
+            "assert Hypergraph.build(10**12, 5, []).edges == ()",
+            "try:",
+            "    Hypergraph.build(10**12, 5, [(0, 1, 2)])",
+            "except EdgeError as exc:",
+            "    raise SystemExit(exc.index)",
+            "raise SystemExit(1)",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert proc.returncode == 0
+
+    def test_lists_of_lists_are_accepted(self):
         h = Hypergraph.build(3, 5, [[4, 3, 2], [0, 1, 2]])
         assert h.edges == ((0, 1, 2), (2, 3, 4))
 
@@ -135,32 +185,6 @@ class TestLinkAndNeighborhood:
     def test_link_bad_vertex(self, t6):
         with pytest.raises(ParameterError):
             link(t6, 6)
-
-    def test_neighborhood_of_vertex(self, t6):
-        # everything outside vertex 0's part {0, 3}
-        assert neighborhood(t6, [0]) == frozenset({1, 2, 4, 5})
-
-    def test_neighborhood_of_near_edge(self, t6):
-        assert neighborhood(t6, [0, 2]) == frozenset({1, 4})
-
-    def test_neighborhood_empty_graph(self):
-        h = Hypergraph.build(3, 4, [])
-        assert neighborhood(h, [0]) == frozenset()
-
-    def test_neighborhood_size_cap(self, t6):
-        with pytest.raises(ParameterError):
-            neighborhood(t6, [0, 1, 2])
-
-    @settings(max_examples=40, deadline=None)
-    @given(small_hypergraphs())
-    def test_neighborhood_against_scan(self, h):
-        for s in [(0,), (0, 1)]:
-            expected = {
-                v
-                for v in range(h.n)
-                if v not in s and any(set(s) | {v} <= set(e) for e in h.edges)
-            }
-            assert neighborhood(h, s) == frozenset(expected)
 
 
 class TestDegreeSums:
