@@ -301,9 +301,9 @@ def _cmd_lemmas(args) -> tuple[int, Optional[str], list]:
 
 
 def _cmd_enumerate(args) -> tuple[int, Optional[str], list]:
-    """The sweep runs first, so a bad bound or the naive budget fails before
-    any enumeration; its walk is the naive engine's, so its stats stand in
-    for a second walk."""
+    """The sweep runs first, so a bad bound fails before any enumeration and
+    a walk past its budget before the orderly engine starts; its walk is the
+    naive engine's, so its stats stand in for a second walk."""
     fam = _family(args.family, args.l, args.r)
     if not args.verify_bound:
         stats = enumerate_free(args.n, args.r, fam, engine=args.engine)
@@ -360,7 +360,7 @@ def _cmd_revalidate(args) -> int:
     command = report.get("command") if isinstance(report, dict) else None
     if (not isinstance(command, list) or not command
             or not all(isinstance(arg, str) for arg in command)
-            or command[0] == "revalidate"):
+            or command[0] in ("revalidate", "construct")):
         raise ParameterError("report does not carry a re-runnable command")
     try:
         rerun_args = _build_parser().parse_args(command)

@@ -41,6 +41,11 @@ class ResourceBudgetError(ShadowlabError):
         super().__init__(message)
         self.partial = partial
 
+    @classmethod
+    def nodes(cls, search, budget):
+        """The error of a search that would visit more than `budget` nodes."""
+        return cls(f"{search} node budget exceeded ({budget} nodes)", {"nodes": budget})
+
 
 class EdgeListParseError(ShadowlabError):
     """Malformed edge-list document; carries the 1-based offending line."""

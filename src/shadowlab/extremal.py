@@ -24,8 +24,8 @@ from .errors import ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, IncrementalFreeChecker
 from .hypercore import Hypergraph, mask_to_tuple
 
-NAIVE_EDGE_BUDGET = 24      # naive engine requires C(n, r) <= this
-ORDERLY_VERTEX_BUDGET = 8   # orderly engine requires n <= this
+WALK_NODE_BUDGET = 2 ** 24       # edge sets one labelled walk may visit
+ORDERLY_NODE_BUDGET = 10 ** 6    # children one orderly run may canonicalize
 CANONICAL_NODE_BUDGET = 100_000  # search-tree nodes one canonical_form may visit
 
 
@@ -125,10 +125,7 @@ def canonical_form(h: Hypergraph) -> bytes:
         nonlocal nodes
         nodes += 1
         if nodes > CANONICAL_NODE_BUDGET:
-            raise ResourceBudgetError(
-                f"canonical_form node budget exceeded ({CANONICAL_NODE_BUDGET} nodes)",
-                partial={"nodes": CANONICAL_NODE_BUDGET},
-            )
+            raise ResourceBudgetError.nodes("canonical_form", CANONICAL_NODE_BUDGET)
         cells = _refine(colours, cells, goal, edges, incidence, weight)
         if cells == goal:
             bit = [1 << c for c in colours]
@@ -230,14 +227,6 @@ def _check_shape(n: int, r: int) -> None:
         raise ParameterError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
 
 
-def _check_naive_budget(n: int, r: int) -> None:
-    if math.comb(n, r) > NAIVE_EDGE_BUDGET:
-        raise ResourceBudgetError(
-            f"naive engine capped at C(n,r) <= {NAIVE_EDGE_BUDGET}, "
-            f"got C({n},{r}) = {math.comb(n, r)}"
-        )
-
-
 def enumerate_free(
     n: int,
     r: int,
@@ -247,17 +236,13 @@ def enumerate_free(
     """Count every family-free r-graph on n vertices by edge count.
 
     The naive engine visits each labeled graph once; the orderly engine
-    visits one canonical representative per isomorphism class.
+    visits one canonical representative per isomorphism class. Any n is
+    tried: each engine raises `ResourceBudgetError` past its node budget.
     """
     _check_shape(n, r)
     if engine == "naive":
-        _check_naive_budget(n, r)
         graphs = _iter_free_edge_sets(n, r, family)
     elif engine == "orderly":
-        if n > ORDERLY_VERTEX_BUDGET:
-            raise ResourceBudgetError(
-                f"orderly engine capped at n <= {ORDERLY_VERTEX_BUDGET}, got {n}"
-            )
         graphs = enumerate_free_classes(n, r, family)
     else:
         raise ParameterError(f"unknown engine {engine!r}")
@@ -279,7 +264,8 @@ def _iter_free_edge_sets(
     """Labeled DFS: extend by candidate edges of larger index only, prune on
     violation (freeness is monotone under edge removal). Yields every free
     edge set once, in preorder, so each set but the empty one is an earlier
-    set plus its last edge."""
+    set plus its last edge. Raises `ResourceBudgetError` rather than visit
+    more than `WALK_NODE_BUDGET` sets."""
     candidates = _candidates(n, r)
     masks = [m for _, m in candidates]
     total = len(candidates)
@@ -287,35 +273,37 @@ def _iter_free_edge_sets(
     edges: list[tuple[int, ...]] = []
     picked: list[int] = []  # candidate index of each edge in `edges`
     t = 0  # next candidate to try at the current depth
-    yield ()
-    while True:
-        if checker is not None:
-            while t < total and checker.would_violate(masks[t]):
-                t += 1
-        if t < total:
+    for _ in itertools.repeat(None, WALK_NODE_BUDGET):
+        yield tuple(edges)
+        while True:  # backtrack until some candidate extends the set
             if checker is not None:
-                checker.push(masks[t])
-            edges.append(candidates[t][0])
-            picked.append(t)
-            yield tuple(edges)
-            t += 1
-        elif picked:
-            t = picked.pop()
+                while t < total and checker.would_violate(masks[t]):
+                    t += 1
+            if t < total:
+                break
+            if not picked:
+                return
+            t = picked.pop() + 1
             edges.pop()
             if checker is not None:
                 checker.pop()
-            t += 1
-        else:
-            return
+        if checker is not None:
+            checker.push(masks[t])
+        edges.append(candidates[t][0])
+        picked.append(t)
+        t += 1
+    raise ResourceBudgetError.nodes("labelled walk", WALK_NODE_BUDGET)
 
 
 def enumerate_free_classes(
     n: int, r: int, family: Optional[Family]
 ) -> list[Hypergraph]:
     """Isomorph-free enumeration: grow class representatives one edge at a
-    time, keeping only canonical extensions. Deterministic order
-    (edge count, canonical key)."""
+    time, keeping only canonical extensions. Deterministic order (edge
+    count, canonical key). Raises `ResourceBudgetError` rather than
+    canonicalize more than `ORDERLY_NODE_BUDGET` children."""
     _check_shape(n, r)
+    nodes = 0
     empty = Hypergraph(r, n, ())
     out = [empty]
     level = {canonical_form(empty): empty}
@@ -331,6 +319,9 @@ def enumerate_free_classes(
             for e, m in candidates:
                 if m in have or (checker is not None and checker.would_violate(m)):
                     continue
+                nodes += 1
+                if nodes > ORDERLY_NODE_BUDGET:
+                    raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
                 child = Hypergraph(r, n, tuple(sorted(rep.edges + (e,))))
                 key = canonical_form(child)
                 if key not in next_level:
@@ -347,12 +338,9 @@ def enumerate_free_classes(
 def extremal_search(n: int, r: int, family: Family) -> ExtremalResult:
     """Exact extremal number with all extremal isomorphism classes."""
     _check_shape(n, r)
-    _check_naive_budget(n, r)
     best = 0
     best_sets: list[tuple[tuple[int, ...], ...]] = []
-    visited = 0
-    for edges in _iter_free_edge_sets(n, r, family):
-        visited += 1
+    for visited, edges in enumerate(_iter_free_edge_sets(n, r, family), 1):
         if len(edges) > best:
             best = len(edges)
             best_sets = [edges]
@@ -398,7 +386,6 @@ def verify_bound_over_enumeration(
     if bound_kind == "thm6" and ell is None:
         raise ParameterError("thm6 sweep needs ell")
     bound_family = _SWEEP_BOUNDS[bound_kind](ell)
-    _check_naive_budget(n, r)
     ids = {s: i for i, s in enumerate(itertools.combinations(range(n), r - 1))}
     shadow_bits = {
         e: sum(1 << ids[s] for s in itertools.combinations(e, r - 1))

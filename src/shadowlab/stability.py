@@ -20,7 +20,7 @@ from .errors import EmptyInputError, ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, require_free
 from .hypercore import Hypergraph, shadow, sigma, z_value
 
-EXACT_STATE_BUDGET = 10 ** 7
+FIT_NODE_BUDGET = 10 ** 7  # calls one branch-and-bound may make
 
 
 @dataclass(frozen=True)
@@ -87,17 +87,14 @@ def partition_fit(
     sum((r+1)**label): base r+1, as in base r an edge inside one part would
     carry into the next digit. Heuristic mode returns its labelling as an
     upper bound flagged non-optimal; exact mode hands it to branch-and-bound
-    over vertex labelings as the incumbent to beat.
+    over vertex labelings as the incumbent to beat; any n is tried, and
+    `ResourceBudgetError` is raised past `FIT_NODE_BUDGET` calls.
     """
     if ell < 1 or cap < 0:
         raise ParameterError(f"need ell >= 1 and cap >= 0, got ell={ell}, cap={cap}")
     if mode not in ("exact", "heuristic"):
         raise ParameterError(f"unknown mode {mode!r}")
     exact = mode == "exact"
-    if exact and ell ** h.n > EXACT_STATE_BUDGET:
-        raise ResourceBudgetError(
-            f"exact partition fit capped at ell^n <= {EXACT_STATE_BUDGET}"
-        )
     order = sorted(range(h.n), key=lambda v: (-h.degrees[v], v))
     labels, removed = _fit_heuristic(h, ell, cap, order, seed, 4 if exact else 20)
     if exact:
@@ -128,8 +125,10 @@ def _removed_count(h: Hypergraph, labels) -> int:
 
 def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, order, best_labels, best):
     """Depth-first labelling of `order`, pruned by the incumbent
-    (`best_labels`, `best`); returns an optimal labelling and its removals."""
+    (`best_labels`, `best`); returns an optimal labelling and its removals,
+    or raises `ResourceBudgetError` past `FIT_NODE_BUDGET` calls."""
     n = h.n
+    nodes = 0
     allow_out = n > cap
     incident = h.incidence
     edge_verts = h.edges
@@ -138,7 +137,10 @@ def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, order, best_labels,
     violated = [False] * len(edge_verts)
 
     def rec(pos: int, removed: int, in_count: int, max_part: int):
-        nonlocal best, best_labels
+        nonlocal best, best_labels, nodes
+        nodes += 1
+        if nodes > FIT_NODE_BUDGET:
+            raise ResourceBudgetError.nodes("branch-and-bound", FIT_NODE_BUDGET)
         if removed >= best:
             return
         if pos == n:

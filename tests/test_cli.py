@@ -384,9 +384,16 @@ class TestExitCodes:
         bad.write_text("3 4\n0 1 1\n")
         assert run(["shadow", "--input", str(bad)]) == EXIT_USAGE
 
-    def test_budget_exceeded(self):
-        assert run(["enumerate", "--n", "8", "--r", "3",
-                    "--family", "cancellative"]) == EXIT_BUDGET
+    def test_budget_exceeded(self, monkeypatch, capsys):
+        argv = ["enumerate", "--n", "5", "--r", "3", "--family", "cancellative"]
+        visits = extremal.enumerate_free(5, 3, Cancellative()).visited
+        monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits)
+        assert run(argv) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits - 1)
+        assert run(argv) == EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            f"error: labelled walk node budget exceeded ({visits - 1} nodes)\n")
 
     @pytest.mark.parametrize("command", ["check", "bound", "lemmas"])
     def test_expansion_requires_l(self, command, tmp_path, capsys):
@@ -403,13 +410,15 @@ class TestExitCodes:
         '{"command": "bound"}',
         '{"command": ["bound", 3]}',
         '{"command": ["revalidate", "--report", "r.json"]}',
+        '{"command": ["construct", "--family", "fano"], "results": []}',
     ], ids=["not-json", "not-an-object", "unparsable-command", "no-command",
             "empty-command", "string-command", "non-string-argument",
-            "revalidate-command"])
-    def test_revalidate_malformed_report(self, document, tmp_path):
+            "revalidate-command", "construct-command"])
+    def test_revalidate_malformed_report(self, document, tmp_path, capsys):
         report = tmp_path / "r.json"
         report.write_text(document)
         assert run(["revalidate", "--report", str(report)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""  # nothing was rerun
 
     def test_usage_error_on_directory_input(self, tmp_path):
         assert run(["check", "--input", str(tmp_path),
@@ -582,21 +591,36 @@ def test_argv_fuzz_keeps_the_exit_code_contract(fuzz_dir, case):
         assert json.loads(out.read_text())["results"], argv
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["bound", "--input", "{t6}", "--family", "cancellative"], EXIT_OK),
-    (["check", "--input", "{k4}", "--family", "cancellative"], EXIT_CHECK_FAILED),
-    (["check", "--input", "{missing}", "--family", "cancellative"], EXIT_USAGE),
-    (["enumerate", "--n", "9", "--r", "3", "--engine", "orderly"], EXIT_BUDGET),
-], ids=["tight-turan-bound", "k4-not-cancellative", "missing-input", "orderly-budget"])
-def test_module_entry_point_exit_codes(argv, code, tmp_path):
-    """`python -m shadowlab.cli` passes the exit code of `run` to the shell."""
+# All 3-graphs on five vertices: the orderly engine canonicalizes 170
+# children, one per class and edge it lacks.
+_ORDERLY_N5 = ["enumerate", "--n", "5", "--r", "3", "--engine", "orderly"]
+
+
+@pytest.mark.parametrize("argv, budget, code", [
+    (["bound", "--input", "{t6}", "--family", "cancellative"], None, EXIT_OK),
+    (["check", "--input", "{k4}", "--family", "cancellative"], None, EXIT_CHECK_FAILED),
+    (["check", "--input", "{missing}", "--family", "cancellative"], None, EXIT_USAGE),
+    (_ORDERLY_N5, 170, EXIT_OK),
+    (_ORDERLY_N5, 169, EXIT_BUDGET),
+], ids=["tight-turan-bound", "k4-not-cancellative", "missing-input", "orderly-at-budget",
+        "orderly-budget"])
+def test_module_entry_point_exit_codes(argv, budget, code, tmp_path):
+    """The module run as `__main__`, as `python -m shadowlab.cli` runs it,
+    passes the exit code of `run` to the shell; `budget` is set as the
+    orderly engine's node budget first."""
     paths = {"t6": tmp_path / "t6.hg", "k4": tmp_path / "k4.hg",
              "missing": tmp_path / "missing.hg"}
     paths["t6"].write_text(FUZZ_INPUTS["t6"])
     paths["k4"].write_text(FUZZ_INPUTS["k4"])
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    main = "; ".join([
+        "import runpy",
+        "from shadowlab import extremal",
+        *([f"extremal.ORDERLY_NODE_BUDGET = {budget}"] if budget is not None else []),
+        "runpy.run_module('shadowlab.cli', run_name='__main__', alter_sys=True)",
+    ])
     proc = subprocess.run(
-        [sys.executable, "-m", "shadowlab.cli", *(a.format(**paths) for a in argv)],
+        [sys.executable, "-c", main, *(a.format(**paths) for a in argv)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == code, proc.stderr

@@ -178,13 +178,44 @@ class TestEnumeration:
         # every subset of the C(4,3) = 4 candidate edges
         assert enumerate_free(4, 3, None).visited == 16
 
-    def test_naive_budget(self):
-        with pytest.raises(ResourceBudgetError):
-            enumerate_free(7, 3, Cancellative())
+    def test_naive_budget(self, monkeypatch):
+        """The labelled walk counts the sets it visits; the naive engine, the
+        extremal search and the sweep all stop on its budget."""
+        visits = enumerate_free(5, 3, Cancellative()).visited
+        for search in (
+            lambda: enumerate_free(5, 3, Cancellative()),
+            lambda: extremal_search(5, 3, Cancellative()),
+            lambda: verify_bound_over_enumeration(5, 3, Cancellative(), "thm3"),
+        ):
+            monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits)
+            search()
+            monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits - 1)
+            with pytest.raises(ResourceBudgetError) as caught:
+                search()
+            assert caught.value.partial == {"nodes": visits - 1}
 
-    def test_orderly_budget(self):
-        with pytest.raises(ResourceBudgetError):
-            enumerate_free(9, 3, Cancellative(), engine="orderly")
+    def test_orderly_budget(self, monkeypatch):
+        """The orderly engine counts the children it canonicalizes: one per
+        class representative and free one-edge extension of it. Library
+        calls stop on the budget as the engine does."""
+        from shadowlab.forbidden import is_free
+
+        family = Cancellative()
+        reps = enumerate_free_classes(5, 3, family)
+        children = sum(
+            is_free(Hypergraph.build(3, 5, h.edges + (e,)), family)
+            for h in reps for e in itertools.combinations(range(5), 3) if e not in h.edges
+        )
+        for search in (
+            lambda: enumerate_free_classes(5, 3, family),
+            lambda: enumerate_free(5, 3, family, engine="orderly"),
+        ):
+            monkeypatch.setattr(extremal, "ORDERLY_NODE_BUDGET", children)
+            search()
+            monkeypatch.setattr(extremal, "ORDERLY_NODE_BUDGET", children - 1)
+            with pytest.raises(ResourceBudgetError) as caught:
+                search()
+            assert caught.value.partial == {"nodes": children - 1}
 
     def test_orderly_engine_visits_the_classes(self):
         reps = enumerate_free_classes(5, 3, Cancellative())
@@ -281,6 +312,17 @@ class TestExtremalSearch:
         result = extremal_search(5, 3, Expansion(3))
         assert len(result.example) == result.max_edges
         assert are_isomorphic(result.example, turan(5, 3, 3)[0])
+
+    @pytest.mark.parametrize("family, searched", [
+        (Cancellative(), 451_793),
+        (Expansion(3), 444_623),
+    ], ids=str)
+    def test_seven_vertices(self, family, searched):
+        """Bollobas (cancellative) and the expansion family at n = 7: the
+        3-partite Turan graph is the one extremal class, with 12 edges."""
+        result = extremal_search(7, 3, family)
+        assert (result.max_edges, result.unique, result.count_searched) == (12, True, searched)
+        assert are_isomorphic(result.example, turan(7, 3, 3)[0])
 
 
 class TestBoundSweeps:

@@ -14,6 +14,7 @@ from shadowlab import (
     Hypergraph,
     complete,
     perturb,
+    stability,
     turan,
     turan_padded,
 )
@@ -246,9 +247,19 @@ class TestPartitionFit:
         part_of = {v: i for i, p in enumerate(fit.parts) for v in p}
         assert all(len({part_of[v] for v in e}) == 3 for e in t6.edges)
 
-    def test_budget_and_parameter_errors(self, t6):
-        with pytest.raises(ResourceBudgetError):
-            partition_fit(Hypergraph.build(3, 20, []), 3, 20)
+    def test_budget_and_parameter_errors(self, t6, monkeypatch):
+        # A 60-vertex Turan graph less 30 edges plus 8 non-edges, which no
+        # 3-partition keeps: the branch-and-bound proves the heuristic's fit
+        # optimal in 299 calls, with 3^60 labellings in its tree.
+        h = perturb(turan(60, 3, 3)[0], 1, 30, 8).hypergraph
+        monkeypatch.setattr(stability, "FIT_NODE_BUDGET", 299)
+        fit = partition_fit(h, 3, 60)
+        assert fit.optimal and fit.removed == 8
+        monkeypatch.setattr(stability, "FIT_NODE_BUDGET", 298)
+        with pytest.raises(ResourceBudgetError) as caught:
+            partition_fit(h, 3, 60)
+        assert caught.value.partial == {"nodes": 298}
+        assert partition_fit(h, 3, 60, mode="heuristic").removed == 8
         with pytest.raises(ParameterError):
             partition_fit(t6, 0, 6)
         with pytest.raises(ParameterError):
