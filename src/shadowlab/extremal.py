@@ -109,8 +109,11 @@ def canonical_form(h: Hypergraph) -> bytes:
     certificates give an automorphism: the search returns to the two leaves'
     common ancestor, and a node skips each child in the orbit of an explored
     child under the automorphisms found so far that fix the node's prefix.
-    More than `CANONICAL_NODE_BUDGET` nodes raise `ResourceBudgetError`."""
+    More than `CANONICAL_NODE_BUDGET` nodes raise `ResourceBudgetError`, as
+    does a path deeper than Python's recursion limit."""
     n, edges = h.n, h.edges
+    if not edges:  # one leaf, whatever n is
+        return f"{h.r}/{n}:".encode()
     weight = [(h.r + 1) ** c for c in range(n)]
     incidence = h.incidence
     isolated = sum(not i for i in incidence)
@@ -169,7 +172,13 @@ def canonical_form(h: Hypergraph) -> bytes:
         return None
 
     colours = [0] * n
-    visit(colours, _cells_by_key(colours, list(map(len, incidence))), ())
+    try:
+        visit(colours, _cells_by_key(colours, list(map(len, incidence))), ())
+    except RecursionError:  # one level per individualized vertex
+        raise ResourceBudgetError(
+            f"canonical_form search deeper than the recursion limit ({nodes} nodes)",
+            partial={"nodes": nodes},
+        ) from None
     least = sorted(mask_to_tuple(m) for m in leaves[-1][0])
     payload = ";".join(",".join(map(str, e)) for e in least)
     return f"{h.r}/{h.n}:{payload}".encode()
@@ -222,6 +231,20 @@ def _candidates(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
     return [(e, sum(1 << v for v in e)) for e in itertools.combinations(range(n), r)]
 
 
+def _walk_candidates(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
+    """The labelled walk's candidates. Raises `ResourceBudgetError` before
+    listing them when the walk is sure to pass its budget, or when the list
+    would hold more vertices, r * c, than the budget has nodes. A set of at
+    most two edges is free of each family (a cancellative triple has three
+    edges; an expansion core of ell + 1 > r vertices lies in neither edge,
+    so it holds a vertex of each that is not in the other, an uncovered
+    pair), so the walk visits at least 1 + c + C(c, 2) sets."""
+    c = math.comb(n, r)
+    if max(1 + c + math.comb(c, 2), r * c) > WALK_NODE_BUDGET:
+        raise ResourceBudgetError.nodes("labelled walk", WALK_NODE_BUDGET)
+    return _candidates(n, r)
+
+
 def _check_shape(n: int, r: int) -> None:
     if n < 0 or r < 1:
         raise ParameterError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
@@ -266,33 +289,37 @@ def _iter_free_edge_sets(
     edge set once, in preorder, so each set but the empty one is an earlier
     set plus its last edge. Raises `ResourceBudgetError` rather than visit
     more than `WALK_NODE_BUDGET` sets."""
-    candidates = _candidates(n, r)
+    candidates = _walk_candidates(n, r)
     masks = [m for _, m in candidates]
     total = len(candidates)
     checker = IncrementalFreeChecker(n, r, family) if family is not None else None
     edges: list[tuple[int, ...]] = []
     picked: list[int] = []  # candidate index of each edge in `edges`
     t = 0  # next candidate to try at the current depth
-    for _ in itertools.repeat(None, WALK_NODE_BUDGET):
-        yield tuple(edges)
-        while True:  # backtrack until some candidate extends the set
+    nodes = 1
+    yield ()
+    while True:
+        if checker is not None:
+            while t < total and checker.would_violate(masks[t]):
+                t += 1
+        if t < total:
             if checker is not None:
-                while t < total and checker.would_violate(masks[t]):
-                    t += 1
-            if t < total:
-                break
-            if not picked:
-                return
-            t = picked.pop() + 1
+                checker.push(masks[t])
+            edges.append(candidates[t][0])
+            picked.append(t)
+            nodes += 1
+            if nodes > WALK_NODE_BUDGET:
+                raise ResourceBudgetError.nodes("labelled walk", WALK_NODE_BUDGET)
+            yield tuple(edges)
+            t += 1
+        elif picked:
+            t = picked.pop()
             edges.pop()
             if checker is not None:
                 checker.pop()
-        if checker is not None:
-            checker.push(masks[t])
-        edges.append(candidates[t][0])
-        picked.append(t)
-        t += 1
-    raise ResourceBudgetError.nodes("labelled walk", WALK_NODE_BUDGET)
+            t += 1
+        else:
+            return
 
 
 def enumerate_free_classes(
@@ -303,11 +330,21 @@ def enumerate_free_classes(
     count, canonical key). Raises `ResourceBudgetError` rather than
     canonicalize more than `ORDERLY_NODE_BUDGET` children."""
     _check_shape(n, r)
+    # Refuse before listing the candidates when the children sure to come,
+    # or the r * c vertices of the list, pass the budget. k disjoint edges
+    # and one more are free of each family: two of the k differ in 2r
+    # vertices, the added edge and one of the k in a vertex only the latter
+    # holds, and a core vertex outside the added edge lies in one edge only,
+    # which cannot hold the core. So for each k <= n // r the class of k
+    # disjoint edges has c - k children.
+    c, m = math.comb(n, r), n // r
+    if max((m + 1) * c - math.comb(m + 1, 2), r * c) > ORDERLY_NODE_BUDGET:
+        raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
+    candidates = _candidates(n, r)
     nodes = 0
     empty = Hypergraph(r, n, ())
     out = [empty]
     level = {canonical_form(empty): empty}
-    candidates = _candidates(n, r)
     checker = IncrementalFreeChecker(n, r, family) if family is not None else None
     while level:
         next_level: dict[bytes, Hypergraph] = {}
@@ -386,10 +423,13 @@ def verify_bound_over_enumeration(
     if bound_kind == "thm6" and ell is None:
         raise ParameterError("thm6 sweep needs ell")
     bound_family = _SWEEP_BOUNDS[bound_kind](ell)
+    candidates = _walk_candidates(n, r)
+    if (r - 1) * math.comb(n, r - 1) > WALK_NODE_BUDGET:  # `ids` holds these vertices
+        raise ResourceBudgetError.nodes("labelled walk", WALK_NODE_BUDGET)
     ids = {s: i for i, s in enumerate(itertools.combinations(range(n), r - 1))}
     shadow_bits = {
         e: sum(1 << ids[s] for s in itertools.combinations(e, r - 1))
-        for e, _ in _candidates(n, r)
+        for e, _ in candidates
     }
 
     bound_cache: dict[int, float] = {}

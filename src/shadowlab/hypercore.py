@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, count, islice, repeat
-from operator import ge, is_not, lt, ne
+from operator import ge, lt, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeError, EmptyInputError, ParameterError
@@ -43,10 +43,10 @@ def _first(flags: Iterable[bool], end: int) -> int:
     return end if at < 0 else at
 
 
-def _columns(flat: list[int], r: int) -> list[list[int]]:
-    """The vertex columns of a list of r-tuples, given as the list of their
-    vertices: columns[i][j] = edges[j][i]. An empty list has none, so a huge
-    r from outside allocates nothing."""
+def _columns(edges: Sequence[tuple[int, ...]], r: int) -> list[list[int]]:
+    """The vertex columns of a list of r-tuples: columns[i][j] = edges[j][i].
+    An empty list has none, so a huge r from outside allocates nothing."""
+    flat = list(chain.from_iterable(edges))
     return [flat[i::r] for i in range(r)] if flat else []
 
 
@@ -69,13 +69,12 @@ class Hypergraph:
     checks each of them against `build`.
 
     `build` is the one validator of an edge list from outside. Each edge
-    must have r vertices (arity), each of type `int`, so no `bool` (type),
-    no repeated vertex, every vertex in 0..n-1 (range), and must not equal
-    an earlier edge (duplicate). The rules are checked in that order, each
-    over the whole list at once; a rule looks only at the edges before the
-    first fault found so far, so the `EdgeError` raised names the first bad
-    edge, by its index, and the first rule that edge breaks, as an
-    edge-by-edge walk would.
+    must have r vertices (arity), no repeated vertex, every vertex in
+    0..n-1 (range), and must not equal an earlier edge (duplicate). The
+    rules are checked in that order, each over the whole list at once; a
+    rule looks only at the edges before the first fault found so far, so
+    the `EdgeError` raised names the first bad edge, by its index, and the
+    first rule that edge breaks, as an edge-by-edge walk would.
     `cli.parse` maps that index back to a line of the document.
     """
 
@@ -98,15 +97,10 @@ class Hypergraph:
             end = _first(map(ne, lengths, repeat(r)), end)
             error = f"expected {r} vertices, got {lengths[end]}"
             del edges[end:]
-        flat = list(chain.from_iterable(edges))
-        if not set(map(type, flat)) <= {int}:  # type(True) is bool
-            at = _first(map(is_not, map(type, flat), repeat(int)), len(flat))
-            end, error = at // r, f"vertex {flat[at]!r} is not an int"
-            del edges[end:], flat[end * r:]
-        columns = _columns(flat, r)
+        columns = _columns(edges, r)
         if not _increasing(columns):
             edges = list(map(tuple, map(sorted, edges)))
-            columns = _columns(list(chain.from_iterable(edges)), r)
+            columns = _columns(edges, r)
             if not _increasing(columns):
                 end = min(_first(map(ge, a, b), end) for a, b in zip(columns, columns[1:]))
                 error = f"repeated vertex in edge {edges[end]}"

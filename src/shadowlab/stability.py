@@ -20,7 +20,7 @@ from .errors import EmptyInputError, ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, require_free
 from .hypercore import Hypergraph, shadow, sigma, z_value
 
-FIT_NODE_BUDGET = 10 ** 7  # calls one branch-and-bound may make
+FIT_NODE_BUDGET = 10 ** 7  # nodes one branch-and-bound may visit
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def partition_fit(
     carry into the next digit. Heuristic mode returns its labelling as an
     upper bound flagged non-optimal; exact mode hands it to branch-and-bound
     over vertex labelings as the incumbent to beat; any n is tried, and
-    `ResourceBudgetError` is raised past `FIT_NODE_BUDGET` calls.
+    `ResourceBudgetError` is raised past `FIT_NODE_BUDGET` nodes.
     """
     if ell < 1 or cap < 0:
         raise ParameterError(f"need ell >= 1 and cap >= 0, got ell={ell}, cap={cap}")
@@ -126,36 +126,41 @@ def _removed_count(h: Hypergraph, labels) -> int:
 def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, order, best_labels, best):
     """Depth-first labelling of `order`, pruned by the incumbent
     (`best_labels`, `best`); returns an optimal labelling and its removals,
-    or raises `ResourceBudgetError` past `FIT_NODE_BUDGET` calls."""
+    or raises `ResourceBudgetError` past `FIT_NODE_BUDGET` nodes. The path
+    is a list of frames, one per labelled vertex, so any n fits in it."""
     n = h.n
     nodes = 0
     allow_out = n > cap
     incident = h.incidence
-    edge_verts = h.edges
     labels = [OUT] * n
-    used_mask = [0] * len(edge_verts)   # labels already present per edge
-    violated = [False] * len(edge_verts)
-
-    def rec(pos: int, removed: int, in_count: int, max_part: int):
-        nonlocal best, best_labels, nodes
+    used_mask = [0] * len(h.edges)   # labels already present per edge
+    violated = [False] * len(h.edges)
+    frames = []  # per labelled vertex: its node, its untried labels, its label's marks
+    node = (0, 0, 0, -1)  # pos, removed, in_count, max_part
+    while True:
         nodes += 1
         if nodes > FIT_NODE_BUDGET:
             raise ResourceBudgetError.nodes("branch-and-bound", FIT_NODE_BUDGET)
-        if removed >= best:
-            return
-        if pos == n:
-            best = removed
-            best_labels = labels.copy()
-            return
-        v = order[pos]
-        choices = list(range(min(max_part + 1, ell - 1) + 1))
-        if allow_out:
-            choices.append(OUT)
-        for p in choices:
-            if p != OUT and in_count >= cap:
+        pos, removed, in_count, max_part = node
+        if removed < best and pos == n:
+            best, best_labels = removed, labels.copy()
+        elif removed < best:
+            parts = range(min(max_part + 1, ell - 1) + 1) if in_count < cap else ()
+            frames.append((node, iter([*parts, OUT] if allow_out else parts), []))
+        while frames:  # undo the deepest vertex's label, then try its next
+            (pos, removed, in_count, max_part), untried, undo = frames[-1]
+            for i, mark in undo:
+                if mark is None:
+                    violated[i] = False
+                else:
+                    used_mask[i] &= ~(1 << mark)
+            undo.clear()
+            p = next(untried, None)
+            if p is None:
+                frames.pop()
                 continue
+            v = order[pos]
             labels[v] = p
-            undo = []
             extra = 0
             for i in incident[v]:
                 if violated[i]:
@@ -167,22 +172,11 @@ def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, order, best_labels,
                 else:
                     used_mask[i] |= 1 << p
                     undo.append((i, p))
-            rec(
-                pos + 1,
-                removed + extra,
-                in_count + (p != OUT),
-                max(max_part, p) if p != OUT else max_part,
-            )
-            for i, mark in undo:
-                if mark is None:
-                    violated[i] = False
-                else:
-                    used_mask[i] &= ~(1 << mark)
-            labels[v] = OUT
-        labels[v] = OUT
-
-    rec(0, 0, 0, -1)
-    return best_labels, best
+            node = (pos + 1, removed + extra, in_count + (p != OUT),
+                    max_part if p == OUT else max(max_part, p))
+            break
+        else:
+            return best_labels, best
 
 
 def _fit_heuristic(h: Hypergraph, ell: int, cap: int, order, seed: int, restarts: int):

@@ -27,23 +27,18 @@ def k4():
 
 
 def reference_build(r, n, edges) -> Hypergraph:
-    """The edge-by-edge walk: each edge in input order must have r vertices,
-    each of type int, and sorted, no repeated vertex, every vertex in
-    0..n-1 and must not equal an earlier edge; the first broken rule
-    raises."""
+    """The edge-by-edge walk: each edge in input order, sorted, must have r
+    vertices, no repeated vertex, every vertex in 0..n-1 and must not equal
+    an earlier edge; the first broken rule raises."""
     if r < 1:
         raise ParameterError(f"uniformity must be >= 1, got {r}")
     if n < 0:
         raise ParameterError(f"vertex count must be >= 0, got {n}")
     seen = {}
     for e in edges:
-        e = tuple(e)
-        if len(e) != r:
-            raise ParameterError(f"expected {r} vertices, got {len(e)}")
-        for v in e:
-            if type(v) is not int:
-                raise ParameterError(f"vertex {v!r} is not an int")
         t = tuple(sorted(e))
+        if len(t) != r:
+            raise ParameterError(f"expected {r} vertices, got {len(t)}")
         if len(set(t)) != r:
             raise ParameterError(f"repeated vertex in edge {t}")
         if t[0] < 0 or t[-1] >= n:

@@ -605,26 +605,51 @@ _ORDERLY_N5 = ["enumerate", "--n", "5", "--r", "3", "--engine", "orderly"]
 ], ids=["tight-turan-bound", "k4-not-cancellative", "missing-input", "orderly-at-budget",
         "orderly-budget"])
 def test_module_entry_point_exit_codes(argv, budget, code, tmp_path):
-    """The module run as `__main__`, as `python -m shadowlab.cli` runs it,
-    passes the exit code of `run` to the shell; `budget` is set as the
-    orderly engine's node budget first."""
+    """`python -m shadowlab.cli` passes the exit code of `run` to the shell.
+    A case with a `budget` sets the orderly engine's node budget first and
+    then runs the module as `__main__`, as `-m` does."""
     paths = {"t6": tmp_path / "t6.hg", "k4": tmp_path / "k4.hg",
              "missing": tmp_path / "missing.hg"}
     paths["t6"].write_text(FUZZ_INPUTS["t6"])
     paths["k4"].write_text(FUZZ_INPUTS["k4"])
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    main = "; ".join([
+    entry = ["-m", "shadowlab.cli"] if budget is None else ["-c", "; ".join([
         "import runpy",
         "from shadowlab import extremal",
-        *([f"extremal.ORDERLY_NODE_BUDGET = {budget}"] if budget is not None else []),
+        f"extremal.ORDERLY_NODE_BUDGET = {budget}",
         "runpy.run_module('shadowlab.cli', run_name='__main__', alter_sys=True)",
-    ])
+    ])]
     proc = subprocess.run(
-        [sys.executable, "-c", main, *(a.format(**paths) for a in argv)],
+        [sys.executable, *entry, *(a.format(**paths) for a in argv)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, search", [
+    (["extremal", "--n", "10000", "--r", "3", "--family", "cancellative"], "labelled walk"),
+    (["enumerate", "--n", "60", "--r", "30"], "labelled walk"),
+    (["enumerate", "--n", "5000", "--r", "4999", "--verify-bound", "thm1"], "labelled walk"),
+    (["enumerate", "--n", "1000", "--r", "998", "--engine", "orderly"], "orderly engine"),
+    (["enumerate", "--n", "999", "--r", "999", "--engine", "orderly"], "canonical_form"),
+], ids=["extremal-n10000", "walk-n60-r30", "sweep-r-is-n-1", "orderly-r-is-n-2",
+        "orderly-r-is-n"])
+def test_searches_sure_to_pass_their_budget_exit_3(argv, search):
+    """A search that its budget cannot hold ends with exit 3 and one line on
+    stderr, before it allocates by n or r: the child process has 512 MB of
+    address space. The last case is refused by the recursion limit: the
+    canonical form of its one 999-vertex edge is a path of 999 nodes."""
+    code = "; ".join([
+        "import resource, runpy",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))",
+        "runpy.run_module('shadowlab.cli', run_name='__main__', alter_sys=True)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert proc.stderr.startswith(f"error: {search} ") and proc.stderr.count("\n") == 1
 
 
 def test_module_entry_point_reads_a_pipe():

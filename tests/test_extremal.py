@@ -201,14 +201,14 @@ class TestEnumeration:
         from shadowlab.forbidden import is_free
 
         family = Cancellative()
-        reps = enumerate_free_classes(5, 3, family)
+        reps = enumerate_free_classes(6, 3, family)
         children = sum(
-            is_free(Hypergraph.build(3, 5, h.edges + (e,)), family)
-            for h in reps for e in itertools.combinations(range(5), 3) if e not in h.edges
+            is_free(Hypergraph.build(3, 6, h.edges + (e,)), family)
+            for h in reps for e in itertools.combinations(range(6), 3) if e not in h.edges
         )
         for search in (
-            lambda: enumerate_free_classes(5, 3, family),
-            lambda: enumerate_free(5, 3, family, engine="orderly"),
+            lambda: enumerate_free_classes(6, 3, family),
+            lambda: enumerate_free(6, 3, family, engine="orderly"),
         ):
             monkeypatch.setattr(extremal, "ORDERLY_NODE_BUDGET", children)
             search()
@@ -216,6 +216,24 @@ class TestEnumeration:
             with pytest.raises(ResourceBudgetError) as caught:
                 search()
             assert caught.value.partial == {"nodes": children - 1}
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_the_sure_counts_are_free(self, r):
+        """What the start of each search counts as sure: every set of at most
+        two edges, and k disjoint edges plus one more, is free of each
+        family."""
+        from shadowlab.forbidden import is_free
+
+        n = 7
+        edges = list(itertools.combinations(range(n), r))
+        matchings = [()]
+        for k in range(1, n // r + 1):
+            matchings += [m for m in itertools.combinations(edges, k)
+                          if len(set().union(*m)) == k * r]
+        graphs = [(e,) for e in edges] + list(itertools.combinations(edges, 2))
+        graphs += [m + (e,) for m in matchings for e in edges if e not in m]
+        for family in (Cancellative(), Expansion(r), Expansion(r + 1)):
+            assert all(is_free(Hypergraph.build(r, n, g), family) for g in graphs), family
 
     def test_orderly_engine_visits_the_classes(self):
         reps = enumerate_free_classes(5, 3, Cancellative())

@@ -64,17 +64,14 @@ class TestBuild:
         with pytest.raises(ParameterError):
             Hypergraph.build(3, 5, [(0, 1, 1)])
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_build_agrees_with_the_reference_walk(self, data):
         """A list and an iterator of the same edges give the walk's graph,
-        or its error at the index of the walk's first bad edge. Half the
-        lists may hold bools and floats among their vertices."""
+        or its error at the index of the walk's first bad edge."""
         r = data.draw(st.integers(1, 3), label="r")
         n = data.draw(st.integers(0, 6), label="n")
         vertex = st.integers(-1, n)
-        if data.draw(st.booleans(), label="non-int vertices"):
-            vertex |= st.sampled_from([False, True, 0.5, 2.0])
         edge = st.one_of(
             st.lists(vertex, min_size=r, max_size=r),
             st.lists(vertex, min_size=max(r - 1, 1), max_size=r + 1),
@@ -103,11 +100,6 @@ class TestBuild:
          "duplicate edge (0, 1, 2)"),
         ([(0, 1, 2), (0, 1, 5), (1, 2, 3), (1, 1, 2), (0, 1)], 1, "vertex 5 outside 0..4"),
         ([(0, 1, 2), (0, 1), (0, 0, 1), (0, 1, 9), (2, 1, 0)], 1, "expected 3 vertices"),
-        ([(0.5, 1, 2), (True, 2, 3)], 0, "vertex 0.5 is not an int"),
-        ([(0, 1, 2), (1, 2, 3), (2, True, 3)], 2, "vertex True is not an int"),
-        ([(0, 1, 2), (0, 1, 3.0), (0, 1)], 1, "vertex 3.0 is not an int"),
-        ([(0, 1, 2), (0, 1), (0, 1, 3.0)], 1, "expected 3 vertices"),
-        ([(0, 1, 2), (1, 1, 2), ("a", 1, 2)], 1, "repeated vertex in edge (1, 1, 2)"),
     ])
     def test_error_carries_the_first_bad_edge(self, edges, index, words):
         """Each rule names its edge by index, and the earlier of two faults

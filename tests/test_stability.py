@@ -247,6 +247,15 @@ class TestPartitionFit:
         part_of = {v: i for i, p in enumerate(fit.parts) for v in p}
         assert all(len({part_of[v] for v in e}) == 3 for e in t6.edges)
 
+    def test_a_labelling_deeper_than_the_recursion_limit(self):
+        """An odd cycle on 1001 vertices needs one removal to be bipartite.
+        The branch-and-bound labels the cycle in order, so its path is 1001
+        vertices deep, past Python's default recursion limit of 1000."""
+        n = 1001
+        h = Hypergraph.build(2, n, [(v, (v + 1) % n) for v in range(n)])
+        fit = partition_fit(h, 2, n)
+        assert fit.optimal and fit.removed == 1
+
     def test_budget_and_parameter_errors(self, t6, monkeypatch):
         # A 60-vertex Turan graph less 30 edges plus 8 non-edges, which no
         # 3-partition keeps: the branch-and-bound proves the heuristic's fit
