@@ -4,10 +4,12 @@ extremal numbers, and bound sweeps.
 Two engines exist on purpose: the naive engine walks every labeled edge
 subset (with monotone freeness pruning) and acts as the trusted oracle; the
 orderly engine builds isomorphism classes level by level through canonical
-deduplication, testing each child edge on its parent's
-`IncrementalFreeChecker` as the labeled walk and the sampler test each new
-edge. Canonical forms come from an in-house individualization-refinement
-search with automorphism pruning, so they stay self-contained and testable.
+deduplication, trying one child edge per orbit of the parent's automorphism
+group and testing it on the parent's `IncrementalFreeChecker` as the
+labeled walk and the sampler test each new edge. Certificates, canonical
+forms and automorphism generators come from an in-house
+individualization-refinement search with automorphism pruning, so they stay
+self-contained and testable.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .forbidden import Cancellative, Expansion, Family, IncrementalFreeChecker
 from .hypercore import Hypergraph, mask_to_tuple
 
 WALK_NODE_BUDGET = 2 ** 24       # edge sets one labelled walk may visit
-ORDERLY_NODE_BUDGET = 10 ** 6    # children one orderly run may canonicalize
-CANONICAL_NODE_BUDGET = 100_000  # search-tree nodes one canonical_form may visit
+ORDERLY_NODE_BUDGET = 10 ** 6    # candidate edges one orderly run may scan
+CANONICAL_NODE_BUDGET = 100_000  # search-tree nodes one canonical search may visit
 
 
 @dataclass(frozen=True)
@@ -97,28 +99,56 @@ def _cells_by_key(colours: list[int], keys: list) -> int:
 
 
 def canonical_form(h: Hypergraph) -> bytes:
-    """A canonical byte string per isomorphism class: the relabeled, sorted
-    edge list of the least leaf of an individualization-refinement search
-    (McKay and Piperno, "Practical graph isomorphism, II", 2014).
+    """A canonical byte string per isomorphism class: the least certificate
+    of the search `canonical_search` runs, decoded to the sorted list of its
+    edges."""
+    return _encode(h.r, h.n, _least_leaf(h)[0])
+
+
+def _encode(r: int, n: int, certificate: tuple[int, ...]) -> bytes:
+    least = sorted(mask_to_tuple(m) for m in certificate)
+    payload = ";".join(",".join(map(str, e)) for e in least)
+    return f"{r}/{n}:{payload}".encode()
+
+
+def canonical_search(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The certificate of h and generators of its automorphism group. Two
+    graphs on the same n and r are isomorphic exactly when their
+    certificates are equal. The generators are the automorphisms the search
+    finds, which fix the isolated vertices, and the transpositions of
+    consecutive isolated vertices."""
+    certificate, automorphisms = _least_leaf(h)
+    isolated = [v for v, i in enumerate(h.incidence) if not i]
+    for a, b in zip(isolated, isolated[1:]):
+        g = list(range(h.n))
+        g[a], g[b] = b, a
+        automorphisms.append(g)
+    return certificate, automorphisms
+
+
+def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The least certificate of an individualization-refinement search
+    (McKay and Piperno, "Practical graph isomorphism, II", 2014), and the
+    automorphisms it found.
 
     Each node refines its partition, then individualizes in turn each vertex
     of the first non-singleton cell of non-isolated vertices. Isolated
     vertices form one cell and are never branched on. A leaf relabels each
-    vertex by its position; its certificate is the sorted list of its edges'
-    bitmasks, and the least certificate wins. Two leaves with equal
+    vertex by its position; its certificate is the sorted tuple of its
+    edges' bitmasks, and the least certificate wins. Two leaves with equal
     certificates give an automorphism: the search returns to the two leaves'
     common ancestor, and a node skips each child in the orbit of an explored
     child under the automorphisms found so far that fix the node's prefix.
     More than `CANONICAL_NODE_BUDGET` nodes raise `ResourceBudgetError`, as
     does a path deeper than Python's recursion limit."""
     n, edges = h.n, h.edges
+    automorphisms: list[list[int]] = []
     if not edges:  # one leaf, whatever n is
-        return f"{h.r}/{n}:".encode()
+        return (), automorphisms
     weight = [(h.r + 1) ** c for c in range(n)]
     incidence = h.incidence
     isolated = sum(not i for i in incidence)
     goal = n - isolated + (isolated > 0)  # cells of a leaf
-    automorphisms: list[list[int]] = []
     leaves: list[tuple] = []  # the first leaf and the least: (certificate, colours, path)
     nodes = 0
 
@@ -132,7 +162,7 @@ def canonical_form(h: Hypergraph) -> bytes:
         cells = _refine(colours, cells, goal, edges, incidence, weight)
         if cells == goal:
             bit = [1 << c for c in colours]
-            cert = sorted([sum(map(bit.__getitem__, e)) for e in edges])
+            cert = tuple(sorted([sum(map(bit.__getitem__, e)) for e in edges]))
             for seen in leaves:
                 if cert == seen[0]:
                     at = {p: v for v, p in enumerate(seen[1])}
@@ -179,9 +209,7 @@ def canonical_form(h: Hypergraph) -> bytes:
             f"canonical_form search deeper than the recursion limit ({nodes} nodes)",
             partial={"nodes": nodes},
         ) from None
-    least = sorted(mask_to_tuple(m) for m in leaves[-1][0])
-    payload = ";".join(",".join(map(str, e)) for e in least)
-    return f"{h.r}/{h.n}:{payload}".encode()
+    return leaves[-1][0], automorphisms
 
 
 def _target_cell(colours: list[int], incidence) -> list[int]:
@@ -212,7 +240,7 @@ def _in_orbit(w: int, explored: list[int], generators: list[list[int]]) -> bool:
 def are_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
     if a.r != b.r or a.n != b.n or len(a) != len(b):
         return False
-    return canonical_form(a) == canonical_form(b)
+    return _least_leaf(a)[0] == _least_leaf(b)[0]
 
 
 def permutation_isomorphism_oracle(a: Hypergraph, b: Hypergraph) -> bool:
@@ -326,49 +354,65 @@ def enumerate_free_classes(
     n: int, r: int, family: Optional[Family]
 ) -> list[Hypergraph]:
     """Isomorph-free enumeration: grow class representatives one edge at a
-    time, keeping only canonical extensions. Deterministic order (edge
-    count, canonical key). Raises `ResourceBudgetError` rather than
-    canonicalize more than `ORDERLY_NODE_BUDGET` children."""
+    time, keeping the first child of each class. Two candidate edges in one
+    orbit of the parent's automorphism group give isomorphic children, so
+    each parent tries only the least candidate of each orbit (McKay,
+    "Isomorph-free exhaustive generation", 1998); that candidate is the
+    first of its orbit the unpruned scan would reach, so the kept children
+    are the same. A level is keyed on certificates and only the kept
+    classes are decoded. Deterministic order (edge count, canonical key).
+    Raises `ResourceBudgetError` rather than scan more than
+    `ORDERLY_NODE_BUDGET` candidate edges, C(n, r) per class."""
     _check_shape(n, r)
-    # Refuse before listing the candidates when the children sure to come,
-    # or the r * c vertices of the list, pass the budget. k disjoint edges
-    # and one more are free of each family: two of the k differ in 2r
-    # vertices, the added edge and one of the k in a vertex only the latter
-    # holds, and a core vertex outside the added edge lies in one edge only,
-    # which cannot hold the core. So for each k <= n // r the class of k
-    # disjoint edges has c - k children.
-    c, m = math.comb(n, r), n // r
-    if max((m + 1) * c - math.comb(m + 1, 2), r * c) > ORDERLY_NODE_BUDGET:
+    # Refuse before listing the candidates when the scans sure to come, or
+    # the r * c vertices of the list, pass the budget. k disjoint edges are
+    # free of each family: two of them differ in 2r vertices, and a core
+    # whose pairs they all cover lies in one edge, which cannot hold its
+    # ell + 1 > r vertices. So the class of k disjoint edges is a parent for
+    # each k <= n // r.
+    c = math.comb(n, r)
+    if max(n // r + 1, r) * c > ORDERLY_NODE_BUDGET:
         raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
     candidates = _candidates(n, r)
+    vertices = {m: e for e, m in candidates}
     nodes = 0
     empty = Hypergraph(r, n, ())
     out = [empty]
-    level = {canonical_form(empty): empty}
+    level = [(empty, canonical_search(empty)[1])]
     checker = IncrementalFreeChecker(n, r, family) if family is not None else None
     while level:
-        next_level: dict[bytes, Hypergraph] = {}
-        for rep in level.values():
-            have = set(rep.edge_masks)
+        next_level: dict[tuple[int, ...], tuple[Hypergraph, list[list[int]]]] = {}
+        for rep, generators in level:
+            nodes += c
+            if nodes > ORDERLY_NODE_BUDGET:
+                raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
+            seen = set(rep.edge_masks)  # edges, and candidates of tried orbits
             if checker is not None:  # each prefix of a free parent is free
                 for m in rep.edge_masks:
                     checker.push(m)
             for e, m in candidates:
-                if m in have or (checker is not None and checker.would_violate(m)):
+                if m in seen:
                     continue
-                nodes += 1
-                if nodes > ORDERLY_NODE_BUDGET:
-                    raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
+                seen.add(m)  # m is the least of its orbit: mark the rest tried
+                orbit = [m]
+                for x in orbit:
+                    for g in generators:
+                        y = sum(1 << g[v] for v in vertices[x])
+                        if y not in seen:
+                            seen.add(y)
+                            orbit.append(y)
+                if checker is not None and checker.would_violate(m):
+                    continue
                 child = Hypergraph(r, n, tuple(sorted(rep.edges + (e,))))
-                key = canonical_form(child)
-                if key not in next_level:
-                    next_level[key] = child
+                certificate, child_generators = canonical_search(child)
+                if certificate not in next_level:
+                    next_level[certificate] = (child, child_generators)
             if checker is not None:
                 for _ in rep.edge_masks:
                     checker.pop()
-        for key in sorted(next_level):
-            out.append(next_level[key])
-        level = next_level
+        forms = {_encode(r, n, cert): child for cert, (child, _) in next_level.items()}
+        out.extend(forms[key] for key in sorted(forms))
+        level = list(next_level.values())
     return out
 
 

@@ -149,8 +149,8 @@ class Hypergraph:
     def pair_adjacency(self) -> tuple[int, ...]:
         """adjacency[u] = bitmask of vertices sharing an edge with u."""
         adj = [0] * self.n
-        for m in self.edge_masks:
-            for v in mask_to_tuple(m):
+        for e, m in zip(self.edges, self.edge_masks):
+            for v in e:
                 adj[v] |= m & ~(1 << v)
         return tuple(adj)
 

@@ -591,8 +591,8 @@ def test_argv_fuzz_keeps_the_exit_code_contract(fuzz_dir, case):
         assert json.loads(out.read_text())["results"], argv
 
 
-# All 3-graphs on five vertices: the orderly engine canonicalizes 170
-# children, one per class and edge it lacks.
+# All 3-graphs on five vertices: the orderly engine scans 340 candidate
+# edges, C(5, 3) = 10 for each of the 34 classes.
 _ORDERLY_N5 = ["enumerate", "--n", "5", "--r", "3", "--engine", "orderly"]
 
 
@@ -600,8 +600,8 @@ _ORDERLY_N5 = ["enumerate", "--n", "5", "--r", "3", "--engine", "orderly"]
     (["bound", "--input", "{t6}", "--family", "cancellative"], None, EXIT_OK),
     (["check", "--input", "{k4}", "--family", "cancellative"], None, EXIT_CHECK_FAILED),
     (["check", "--input", "{missing}", "--family", "cancellative"], None, EXIT_USAGE),
-    (_ORDERLY_N5, 170, EXIT_OK),
-    (_ORDERLY_N5, 169, EXIT_BUDGET),
+    (_ORDERLY_N5, 340, EXIT_OK),
+    (_ORDERLY_N5, 339, EXIT_BUDGET),
 ], ids=["tight-turan-bound", "k4-not-cancellative", "missing-input", "orderly-at-budget",
         "orderly-budget"])
 def test_module_entry_point_exit_codes(argv, budget, code, tmp_path):

@@ -1,6 +1,7 @@
 """Enumeration engines, canonical forms, extremal numbers, bound sweeps."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -95,6 +96,30 @@ class TestCanonicalForm:
         monkeypatch.setattr(extremal, "CANONICAL_NODE_BUDGET", 1)
         assert canonical_form(Hypergraph.build(3, 13, [])) == b"3/13:"
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_search_generators_are_automorphisms(self, data):
+        """r in 1..4 and n in 0..7, empty graphs and isolated vertices
+        included: each generator `canonical_search` returns is a vertex
+        permutation that maps the edge set onto itself, and the generators
+        move each isolated vertex to every other."""
+        r = data.draw(st.integers(1, 4), label="r")
+        n = data.draw(st.integers(0, 7), label="n")
+        candidates = list(itertools.combinations(range(n), r))
+        m = data.draw(st.integers(0, len(candidates)), label="m")
+        h = Hypergraph.build(r, n, data.draw(st.permutations(candidates))[:m])
+        certificate, generators = extremal.canonical_search(h)
+        assert _encode_certificate(h, certificate) == canonical_form(h)
+        edges = set(h.edges)
+        for g in generators:
+            assert sorted(g) == list(range(n))
+            assert {tuple(sorted(g[v] for v in e)) for e in edges} == edges
+        isolated = [v for v in range(n) if not h.degrees[v]]
+        orbit = set(isolated[:1])
+        for _ in isolated:
+            orbit |= {g[v] for g in generators for v in orbit}
+        assert orbit == set(isolated)
+
     def test_thirteen_vertex_path(self):
         # Refinement splits the path down to its mirror symmetry, so the
         # search visits three nodes whatever the path's length.
@@ -143,6 +168,12 @@ class TestCanonicalForm:
         moved = _move_one_edge(h)
         assert sorted(moved.degrees) != sorted(h.degrees)
         assert canonical_form(moved) != base
+
+
+def _encode_certificate(h, certificate):
+    """The form a certificate stands for: its masks as sorted vertex lists."""
+    least = sorted(tuple(v for v in range(h.n) if m >> v & 1) for m in certificate)
+    return f"{h.r}/{h.n}:{';'.join(','.join(map(str, e)) for e in least)}".encode()
 
 
 def _move_one_edge(h):
@@ -195,27 +226,22 @@ class TestEnumeration:
             assert caught.value.partial == {"nodes": visits - 1}
 
     def test_orderly_budget(self, monkeypatch):
-        """The orderly engine counts the children it canonicalizes: one per
-        class representative and free one-edge extension of it. Library
-        calls stop on the budget as the engine does."""
-        from shadowlab.forbidden import is_free
-
+        """The orderly engine counts the candidate edges it scans: C(n, r)
+        per class, whatever the orbit pruning skips. Library calls stop on
+        the budget as the engine does."""
         family = Cancellative()
-        reps = enumerate_free_classes(6, 3, family)
-        children = sum(
-            is_free(Hypergraph.build(3, 6, h.edges + (e,)), family)
-            for h in reps for e in itertools.combinations(range(6), 3) if e not in h.edges
-        )
+        scans = len(enumerate_free_classes(6, 3, family)) * math.comb(6, 3)
+        assert scans == 600
         for search in (
             lambda: enumerate_free_classes(6, 3, family),
             lambda: enumerate_free(6, 3, family, engine="orderly"),
         ):
-            monkeypatch.setattr(extremal, "ORDERLY_NODE_BUDGET", children)
+            monkeypatch.setattr(extremal, "ORDERLY_NODE_BUDGET", scans)
             search()
-            monkeypatch.setattr(extremal, "ORDERLY_NODE_BUDGET", children - 1)
+            monkeypatch.setattr(extremal, "ORDERLY_NODE_BUDGET", scans - 1)
             with pytest.raises(ResourceBudgetError) as caught:
                 search()
-            assert caught.value.partial == {"nodes": children - 1}
+            assert caught.value.partial == {"nodes": scans - 1}
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_the_sure_counts_are_free(self, r):
@@ -255,10 +281,15 @@ class TestEnumeration:
         with pytest.raises(ParameterError):
             entry(n, r)
 
-    @pytest.mark.parametrize(
-        "family", [None, Cancellative(), Expansion(3), Expansion(4)]
-    )
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n, family", [
+        pytest.param(n, family, id=f"{n}-{name}")
+        for n in (3, 4, 5, 6)
+        for name, family in [("None", None), ("family1", Cancellative()),
+                             ("family2", Expansion(3)), ("family3", Expansion(4))]
+        # All 3-graphs on six vertices are 2^20 labelled sets for the naive
+        # side; `test_all_classes_on_six_vertices` counts their classes.
+        if (n, family) != (6, None)
+    ])
     def test_engines_agree(self, n, family):
         naive_keys = {
             canonical_form(Hypergraph(3, n, edges))
@@ -268,6 +299,49 @@ class TestEnumeration:
             canonical_form(h) for h in enumerate_free_classes(n, 3, family)
         }
         assert naive_keys == orderly_keys
+
+    def test_each_parent_tries_one_child_per_orbit(self, monkeypatch):
+        """At n = 6, each cancellative class searches one child for each
+        orbit of its free non-edges under its automorphism group, found by
+        trying all 720 vertex permutations. The parent of a search is the
+        set of edges pushed on the engine's checker."""
+        from shadowlab.forbidden import is_free
+
+        family = Cancellative()
+        pushed: list[int] = []
+
+        class Traced(forbidden.IncrementalFreeChecker):
+            def push(self, mask):
+                pushed.append(mask)
+                super().push(mask)
+
+            def pop(self):
+                pushed.pop()
+                super().pop()
+
+        tries: Counter = Counter()
+        search = extremal.canonical_search
+
+        def counted(h):
+            if len(h) == len(pushed) + 1:  # a child, not the empty graph's own search
+                tries[frozenset(pushed)] += 1
+            return search(h)
+
+        monkeypatch.setattr(extremal, "IncrementalFreeChecker", Traced)
+        monkeypatch.setattr(extremal, "canonical_search", counted)
+        reps = enumerate_free_classes(6, 3, family)
+        monkeypatch.undo()
+        perms = list(itertools.permutations(range(6)))
+        for h in reps:
+            edges = set(h.edges)
+            automorphisms = [
+                p for p in perms if {tuple(sorted(p[v] for v in e)) for e in edges} == edges
+            ]
+            free = [e for e in itertools.combinations(range(6), 3)
+                    if e not in edges and is_free(Hypergraph.build(3, 6, h.edges + (e,)), family)]
+            orbits = {frozenset(tuple(sorted(p[v] for v in e)) for p in automorphisms)
+                      for e in free}
+            assert tries[frozenset(h.edge_masks)] == len(orbits), h.edges
 
     @pytest.mark.parametrize("family", [Cancellative(), Expansion(3)])
     def test_orderly_engine_runs_no_batch_detector(self, family, monkeypatch):
