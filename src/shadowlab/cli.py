@@ -395,7 +395,7 @@ def run(argv: list[str]) -> int:
     except ResourceBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
-    except (ShadowlabError, OSError, UnicodeDecodeError) as exc:
+    except (ShadowlabError, OSError, UnicodeDecodeError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -6,10 +6,11 @@ subset (with monotone freeness pruning) and acts as the trusted oracle; the
 orderly engine builds isomorphism classes level by level through canonical
 deduplication, trying one child edge per orbit of the parent's automorphism
 group and testing it on the parent's `IncrementalFreeChecker` as the
-labeled walk and the sampler test each new edge. Certificates, canonical
-forms and automorphism generators come from an in-house
-individualization-refinement search with automorphism pruning, so they stay
-self-contained and testable.
+labeled walk and the sampler test each new edge. A child edge takes the
+least of the parent's isolated vertices, which the automorphisms fix.
+Certificates, canonical forms and automorphisms come from an in-house
+individualization-refinement search with automorphism pruning, so they
+stay self-contained and testable.
 """
 
 from __future__ import annotations
@@ -112,18 +113,11 @@ def _encode(r: int, n: int, certificate: tuple[int, ...]) -> bytes:
 
 
 def canonical_search(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The certificate of h and generators of its automorphism group. Two
+    """The certificate of h and the automorphisms the search found. Two
     graphs on the same n and r are isomorphic exactly when their
-    certificates are equal. The generators are the automorphisms the search
-    finds, which fix the isolated vertices, and the transpositions of
-    consecutive isolated vertices."""
-    certificate, automorphisms = _least_leaf(h)
-    isolated = [v for v, i in enumerate(h.incidence) if not i]
-    for a, b in zip(isolated, isolated[1:]):
-        g = list(range(h.n))
-        g[a], g[b] = b, a
-        automorphisms.append(g)
-    return certificate, automorphisms
+    certificates are equal. Each automorphism fixes every isolated vertex;
+    with the symmetric group on the isolated vertices they generate Aut(h)."""
+    return _least_leaf(h)
 
 
 def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -359,8 +353,11 @@ def enumerate_free_classes(
     each parent tries only the least candidate of each orbit (McKay,
     "Isomorph-free exhaustive generation", 1998); that candidate is the
     first of its orbit the unpruned scan would reach, so the kept children
-    are the same. A level is keyed on certificates and only the kept
-    classes are decoded. Deterministic order (edge count, canonical key).
+    are the same. The group is the search's automorphisms, which fix the
+    isolated vertices, times their symmetric group, so the least candidate of
+    an orbit holds the least isolated vertices, and the engine skips every
+    other. A level is keyed on certificates and only the kept classes are
+    decoded. Deterministic order (edge count, canonical key).
     Raises `ResourceBudgetError` rather than scan more than
     `ORDERLY_NODE_BUDGET` candidate edges, C(n, r) per class."""
     _check_shape(n, r)
@@ -378,7 +375,7 @@ def enumerate_free_classes(
     nodes = 0
     empty = Hypergraph(r, n, ())
     out = [empty]
-    level = [(empty, canonical_search(empty)[1])]
+    level = [(empty, [])]
     checker = IncrementalFreeChecker(n, r, family) if family is not None else None
     while level:
         next_level: dict[tuple[int, ...], tuple[Hypergraph, list[list[int]]]] = {}
@@ -387,12 +384,13 @@ def enumerate_free_classes(
             if nodes > ORDERLY_NODE_BUDGET:
                 raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
             seen = set(rep.edge_masks)  # edges, and candidates of tried orbits
+            iso = sum(1 << v for v, i in enumerate(rep.incidence) if not i)
             if checker is not None:  # each prefix of a free parent is free
                 for m in rep.edge_masks:
                     checker.push(m)
             for e, m in candidates:
-                if m in seen:
-                    continue
+                if m in seen or (k := m & iso) != iso & ((1 << k.bit_length()) - 1):
+                    continue  # a tried orbit, or a lesser isolated vertex left out
                 seen.add(m)  # m is the least of its orbit: mark the rest tried
                 orbit = [m]
                 for x in orbit:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import ParameterError, PreconditionError
 from .hypercore import Hypergraph, cliques, mask_to_tuple
@@ -88,8 +88,7 @@ def find_cancellative_violation(h: Hypergraph) -> Optional[Witness]:
     for i, b in enumerate(bits):
         for sub in itertools.combinations(b, half):
             groups.setdefault(sum(sub), []).append(i)
-        for size in range(2, h.r + 1, 2):
-            inside.update(map(sum, itertools.combinations(b, size)))
+        inside.update(_even_sub_masks(b))
     for i, b in enumerate(bits):
         mi = masks[i]
         best = m
@@ -108,6 +107,13 @@ def find_cancellative_violation(h: Hypergraph) -> Optional[Witness]:
                 "cancellative-triple", edges=(h.edges[i], h.edges[best], h.edges[k])
             )
     return None
+
+
+def _even_sub_masks(bits: list[int]) -> Iterator[int]:
+    """The 2^(r-1) - 1 even-size sub-masks of an edge's r vertex bits."""
+    return itertools.chain.from_iterable(
+        map(sum, itertools.combinations(bits, size)) for size in range(2, len(bits) + 1, 2)
+    )
 
 
 def brute_force_cancellative_violation(h: Hypergraph) -> Optional[Witness]:
@@ -234,12 +240,7 @@ class IncrementalFreeChecker:
                     for u, v in itertools.combinations(verts, 2)
                 )
             else:
-                bits = [1 << v for v in verts]
-                parts = tuple(
-                    sum(sub)
-                    for size in range(2, self.r + 1, 2)
-                    for sub in itertools.combinations(bits, size)
-                )
+                parts = tuple(_even_sub_masks([1 << v for v in verts]))
             self._parts[mask] = parts
         return parts
 

@@ -492,6 +492,25 @@ class TestExitCodes:
         assert run([arg.format(hg=hg) for arg in argv]) == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, r", [
+        (["bound", "--input", "{hg}", "--family", "kk"], 171),
+        (["bound", "--input", "{hg}", "--family", "cancellative"], 144),
+        (["stability", "--input", "{hg}", "--family", "cancellative",
+          "--eps", "0.05", "--delta", "0.05"], 81),
+        (["enumerate", "--n", "{r}", "--r", "{r}", "--verify-bound", "thm1"], 171),
+    ], ids=["kk-bound", "cancellative-bound", "cancellative-stability", "thm1-sweep"])
+    def test_float_overflow_exits_2(self, argv, r, tmp_path, capsys):
+        # One r-edge on r vertices: from this r on, a float leaves the
+        # float range; one below, the command succeeds.
+        for size, code in [(r - 1, EXIT_OK), (r, EXIT_USAGE)]:
+            hg = tmp_path / f"e{size}.hg"
+            hg.write_text(f"{size} {size}\n" + " ".join(map(str, range(size))) + "\n")
+            out = str(tmp_path / "r.json")
+            assert run([a.format(hg=hg, r=size) for a in argv] + ["--out", out]) == code
+            err = capsys.readouterr().err
+            if code == EXIT_USAGE:
+                assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bound_sweep_violation_fails(self, tmp_path):
         # thm3 over every 3-graph on 4 vertices: K_4^3 beats the bound.
         out = tmp_path / "r.json"

@@ -101,8 +101,8 @@ class TestCanonicalForm:
     def test_search_generators_are_automorphisms(self, data):
         """r in 1..4 and n in 0..7, empty graphs and isolated vertices
         included: each generator `canonical_search` returns is a vertex
-        permutation that maps the edge set onto itself, and the generators
-        move each isolated vertex to every other."""
+        permutation that maps the edge set onto itself and fixes every
+        isolated vertex."""
         r = data.draw(st.integers(1, 4), label="r")
         n = data.draw(st.integers(0, 7), label="n")
         candidates = list(itertools.combinations(range(n), r))
@@ -115,10 +115,7 @@ class TestCanonicalForm:
             assert sorted(g) == list(range(n))
             assert {tuple(sorted(g[v] for v in e)) for e in edges} == edges
         isolated = [v for v in range(n) if not h.degrees[v]]
-        orbit = set(isolated[:1])
-        for _ in isolated:
-            orbit |= {g[v] for g in generators for v in orbit}
-        assert orbit == set(isolated)
+        assert all(g[v] == v for g in generators for v in isolated)
 
     def test_thirteen_vertex_path(self):
         # Refinement splits the path down to its mirror symmetry, so the
@@ -301,10 +298,12 @@ class TestEnumeration:
         assert naive_keys == orderly_keys
 
     def test_each_parent_tries_one_child_per_orbit(self, monkeypatch):
-        """At n = 6, each cancellative class searches one child for each
-        orbit of its free non-edges under its automorphism group, found by
-        trying all 720 vertex permutations. The parent of a search is the
-        set of edges pushed on the engine's checker."""
+        """At n = 6 and r = 3 and 2, each cancellative class searches one
+        child for each orbit of its free non-edges under its automorphism
+        group, found by trying all 720 vertex permutations. The parent of a
+        search is the set of edges pushed on the engine's checker. At r = 2
+        these are the triangle-free graphs, most of whose parents have
+        isolated vertices."""
         from shadowlab.forbidden import is_free
 
         family = Cancellative()
@@ -323,25 +322,33 @@ class TestEnumeration:
         search = extremal.canonical_search
 
         def counted(h):
-            if len(h) == len(pushed) + 1:  # a child, not the empty graph's own search
-                tries[frozenset(pushed)] += 1
+            tries[h.r, frozenset(pushed)] += 1
             return search(h)
 
-        monkeypatch.setattr(extremal, "IncrementalFreeChecker", Traced)
-        monkeypatch.setattr(extremal, "canonical_search", counted)
-        reps = enumerate_free_classes(6, 3, family)
-        monkeypatch.undo()
         perms = list(itertools.permutations(range(6)))
-        for h in reps:
-            edges = set(h.edges)
-            automorphisms = [
-                p for p in perms if {tuple(sorted(p[v] for v in e)) for e in edges} == edges
-            ]
-            free = [e for e in itertools.combinations(range(6), 3)
-                    if e not in edges and is_free(Hypergraph.build(3, 6, h.edges + (e,)), family)]
-            orbits = {frozenset(tuple(sorted(p[v] for v in e)) for p in automorphisms)
-                      for e in free}
-            assert tries[frozenset(h.edge_masks)] == len(orbits), h.edges
+        for r in (3, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(extremal, "IncrementalFreeChecker", Traced)
+                patch.setattr(extremal, "canonical_search", counted)
+                reps = enumerate_free_classes(6, r, family)
+            for h in reps:
+                edges = set(h.edges)
+                automorphisms = [
+                    p for p in perms
+                    if {tuple(sorted(p[v] for v in e)) for e in edges} == edges
+                ]
+                free = [e for e in itertools.combinations(range(6), r) if e not in edges
+                        and is_free(Hypergraph.build(r, 6, h.edges + (e,)), family)]
+                orbits = {frozenset(tuple(sorted(p[v] for v in e)) for p in automorphisms)
+                          for e in free}
+                assert tries[r, frozenset(h.edge_masks)] == len(orbits), h.edges
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_one_class_per_edge_count_of_a_1_graph(self, n):
+        # A 1-graph is determined up to isomorphism by its edge count, and
+        # all its non-edges are isolated vertices.
+        reps = enumerate_free_classes(n, 1, None)
+        assert [len(h) for h in reps] == list(range(n + 1))
 
     @pytest.mark.parametrize("family", [Cancellative(), Expansion(3)])
     def test_orderly_engine_runs_no_batch_detector(self, family, monkeypatch):
