@@ -3,12 +3,14 @@ extremal numbers, and bound sweeps.
 
 Two engines exist on purpose: the naive engine walks every labeled edge
 subset (with monotone freeness pruning) and acts as the trusted oracle; the
-orderly engine builds isomorphism classes level by level through canonical
-deduplication, trying one child edge per orbit of the parent's automorphism
+orderly engine builds isomorphism classes level by level by canonical
+augmentation, trying one child edge per orbit of the parent's automorphism
 group and testing it on the parent's `IncrementalFreeChecker` as the
 labeled walk and the sampler test each new edge. A child edge takes the
-least of the parent's isolated vertices, which the automorphisms fix.
-Certificates, canonical forms and automorphisms come from an in-house
+least of the parent's isolated vertices, which the automorphisms fix, and
+a free child is kept only when its new edge is in the orbit of its
+canonical deletion. Certificates, labellings, canonical forms and
+automorphisms come from an in-house
 individualization-refinement search with automorphism pruning, so they
 stay self-contained and testable.
 """
@@ -112,18 +114,20 @@ def _encode(r: int, n: int, certificate: tuple[int, ...]) -> bytes:
     return f"{r}/{n}:{payload}".encode()
 
 
-def canonical_search(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The certificate of h and the automorphisms the search found. Two
-    graphs on the same n and r are isomorphic exactly when their
-    certificates are equal. Each automorphism fixes every isolated vertex;
-    with the symmetric group on the isolated vertices they generate Aut(h)."""
+def canonical_search(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]], list[int]]:
+    """The certificate of h, the automorphisms the search found, and its
+    least leaf's labelling (vertex v to `labelling[v]`; empty when h has no
+    edge), which maps h's edges onto the certificate. Graphs on the same n
+    and r are isomorphic exactly when their certificates are equal. Each
+    automorphism fixes every isolated vertex; with the symmetric group on
+    those they generate Aut(h), and alone they give its edge orbits."""
     return _least_leaf(h)
 
 
-def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]]]:
+def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]], list[int]]:
     """The least certificate of an individualization-refinement search
-    (McKay and Piperno, "Practical graph isomorphism, II", 2014), and the
-    automorphisms it found.
+    (McKay and Piperno, "Practical graph isomorphism, II", 2014), the
+    automorphisms it found and the least leaf's labelling.
 
     Each node refines its partition, then individualizes in turn each vertex
     of the first non-singleton cell of non-isolated vertices. Isolated
@@ -138,7 +142,7 @@ def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]]]:
     n, edges = h.n, h.edges
     automorphisms: list[list[int]] = []
     if not edges:  # one leaf, whatever n is
-        return (), automorphisms
+        return (), automorphisms, []
     weight = [(h.r + 1) ** c for c in range(n)]
     incidence = h.incidence
     isolated = sum(not i for i in incidence)
@@ -175,17 +179,22 @@ def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]]]:
         cell = _target_cell(colours, incidence)
         start = colours[cell[0]]
         depth = len(path)
-        explored: list[int] = []
-        fixing: list[list[int]] = []  # the automorphisms that fix `path`
+        root = {w: w for w in cell}  # orbits under the automorphisms fixing `path`
+        explored: set[int] = set()  # roots of the orbits of explored children
         checked = 0
         for w in cell:
             if explored:
-                fixing.extend(g for g in automorphisms[checked:]
-                              if all(g[s] == s for s in path))
+                for g in automorphisms[checked:]:
+                    if all(g[s] == s for s in path):
+                        for u in cell:
+                            a, b = _find(root, u), _find(root, g[u])
+                            if a in explored:
+                                a, b = b, a
+                            root[a] = b  # an explored root stays a root
                 checked = len(automorphisms)
-                if _in_orbit(w, explored, fixing):
+                if _find(root, w) in explored:
                     continue
-            explored.append(w)
+            explored.add(_find(root, w))
             child = colours.copy()
             for u in cell:
                 if u != w:
@@ -203,7 +212,7 @@ def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]]]:
             f"canonical_form search deeper than the recursion limit ({nodes} nodes)",
             partial={"nodes": nodes},
         ) from None
-    return leaves[-1][0], automorphisms
+    return leaves[-1][0], automorphisms, leaves[-1][1]
 
 
 def _target_cell(colours: list[int], incidence) -> list[int]:
@@ -216,19 +225,11 @@ def _target_cell(colours: list[int], incidence) -> list[int]:
     return min((c for c in cells.values() if len(c) > 1), key=lambda c: colours[c[0]])
 
 
-def _in_orbit(w: int, explored: list[int], generators: list[list[int]]) -> bool:
-    """Whether w lies in the orbit of an explored vertex under the group the
-    generators generate."""
-    orbit = {w}
-    stack = [w]
-    while stack:
-        x = stack.pop()
-        for g in generators:
-            y = g[x]
-            if y not in orbit:
-                orbit.add(y)
-                stack.append(y)
-    return not orbit.isdisjoint(explored)
+def _find(root: dict[int, int], v: int) -> int:
+    """The root of v's set in a union-find, halving the path on the way."""
+    while root[v] != v:
+        root[v] = v = root[root[v]]
+    return v
 
 
 def are_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
@@ -347,19 +348,22 @@ def _iter_free_edge_sets(
 def enumerate_free_classes(
     n: int, r: int, family: Optional[Family]
 ) -> list[Hypergraph]:
-    """Isomorph-free enumeration: grow class representatives one edge at a
-    time, keeping the first child of each class. Two candidate edges in one
-    orbit of the parent's automorphism group give isomorphic children, so
-    each parent tries only the least candidate of each orbit (McKay,
-    "Isomorph-free exhaustive generation", 1998); that candidate is the
-    first of its orbit the unpruned scan would reach, so the kept children
-    are the same. The group is the search's automorphisms, which fix the
-    isolated vertices, times their symmetric group, so the least candidate of
-    an orbit holds the least isolated vertices, and the engine skips every
-    other. A level is keyed on certificates and only the kept classes are
-    decoded. Deterministic order (edge count, canonical key).
-    Raises `ResourceBudgetError` rather than scan more than
-    `ORDERLY_NODE_BUDGET` candidate edges, C(n, r) per class."""
+    """Isomorph-free enumeration by canonical augmentation (McKay,
+    "Isomorph-free exhaustive generation", 1998). A child of a class
+    representative P is P + e for a candidate edge e. Candidates in one
+    orbit of Aut(P) give isomorphic children, so P tries only the least of
+    each orbit; Aut(P) is the search's automorphisms, which fix the isolated
+    vertices, times their symmetric group, so that least candidate holds
+    P's least isolated vertices. A free child C is kept only when e lies in
+    the orbit of its canonical deletion m(C), so each class is kept once, as
+    a child of the class of C - m(C). An edge's key is the sorted degrees of
+    its vertices in C, and m(C) is the top-key edge that the least leaf of
+    C's search labels least; a child whose e is not top-key is dropped
+    before any search. Each level is sorted on its forms: the order is edge
+    count, then canonical key. The representatives are the children kept,
+    not the first child of each class in scan order. Raises
+    `ResourceBudgetError` rather than scan more than `ORDERLY_NODE_BUDGET`
+    candidate edges, C(n, r) per class."""
     _check_shape(n, r)
     # Refuse before listing the candidates when the scans sure to come, or
     # the r * c vertices of the list, pass the budget. k disjoint edges are
@@ -375,11 +379,11 @@ def enumerate_free_classes(
     nodes = 0
     empty = Hypergraph(r, n, ())
     out = [empty]
-    level = [(empty, [])]
+    level = [(b"", empty, [])]
     checker = IncrementalFreeChecker(n, r, family) if family is not None else None
     while level:
-        next_level: dict[tuple[int, ...], tuple[Hypergraph, list[list[int]]]] = {}
-        for rep, generators in level:
+        next_level: list[tuple[bytes, Hypergraph, list[list[int]]]] = []
+        for _, rep, generators in level:
             nodes += c
             if nodes > ORDERLY_NODE_BUDGET:
                 raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
@@ -391,27 +395,43 @@ def enumerate_free_classes(
             for e, m in candidates:
                 if m in seen or (k := m & iso) != iso & ((1 << k.bit_length()) - 1):
                     continue  # a tried orbit, or a lesser isolated vertex left out
-                seen.add(m)  # m is the least of its orbit: mark the rest tried
-                orbit = [m]
-                for x in orbit:
-                    for g in generators:
-                        y = sum(1 << g[v] for v in vertices[x])
-                        if y not in seen:
-                            seen.add(y)
-                            orbit.append(y)
+                seen |= _edge_orbit(m, generators, vertices)  # m is its orbit's least
                 if checker is not None and checker.would_violate(m):
                     continue
+                degree = [d + (m >> v & 1) for v, d in enumerate(rep.degrees)]  # in the child
+                key = sorted(map(degree.__getitem__, e))
+                if any(sorted(map(degree.__getitem__, f)) > key for f in rep.edges):
+                    continue  # e is not top-key, so not the canonical deletion
                 child = Hypergraph(r, n, tuple(sorted(rep.edges + (e,))))
-                certificate, child_generators = canonical_search(child)
-                if certificate not in next_level:
-                    next_level[certificate] = (child, child_generators)
+                certificate, child_generators, labelling = canonical_search(child)
+                deletion = min(
+                    (x for x in child.edge_masks
+                     if sorted(map(degree.__getitem__, vertices[x])) == key),
+                    key=lambda x: sum(1 << labelling[v] for v in vertices[x]),
+                )
+                if m in _edge_orbit(deletion, child_generators, vertices):
+                    next_level.append((_encode(r, n, certificate), child, child_generators))
             if checker is not None:
                 for _ in rep.edge_masks:
                     checker.pop()
-        forms = {_encode(r, n, cert): child for cert, (child, _) in next_level.items()}
-        out.extend(forms[key] for key in sorted(forms))
-        level = list(next_level.values())
+        next_level.sort(key=lambda accepted: accepted[0])
+        out.extend(child for _, child, _ in next_level)
+        level = next_level
     return out
+
+
+def _edge_orbit(m: int, generators: list[list[int]], vertices: dict) -> set[int]:
+    """The bitmasks of the orbit of edge m under the group the generators
+    generate; `vertices` maps each bitmask to its vertices."""
+    orbit = {m}
+    walk = [m]
+    for x in walk:
+        for g in generators:
+            y = sum(1 << g[v] for v in vertices[x])
+            if y not in orbit:
+                orbit.add(y)
+                walk.append(y)
+    return orbit
 
 
 def extremal_search(n: int, r: int, family: Family) -> ExtremalResult:

@@ -102,20 +102,52 @@ class TestCanonicalForm:
         """r in 1..4 and n in 0..7, empty graphs and isolated vertices
         included: each generator `canonical_search` returns is a vertex
         permutation that maps the edge set onto itself and fixes every
-        isolated vertex."""
+        isolated vertex, and the labelling maps the edges onto the
+        certificate."""
         r = data.draw(st.integers(1, 4), label="r")
         n = data.draw(st.integers(0, 7), label="n")
         candidates = list(itertools.combinations(range(n), r))
         m = data.draw(st.integers(0, len(candidates)), label="m")
         h = Hypergraph.build(r, n, data.draw(st.permutations(candidates))[:m])
-        certificate, generators = extremal.canonical_search(h)
+        certificate, generators, labelling = extremal.canonical_search(h)
         assert _encode_certificate(h, certificate) == canonical_form(h)
+        assert tuple(sorted(sum(1 << labelling[v] for v in e) for e in h.edges)) == certificate
         edges = set(h.edges)
         for g in generators:
             assert sorted(g) == list(range(n))
             assert {tuple(sorted(g[v] for v in e)) for e in edges} == edges
         isolated = [v for v in range(n) if not h.degrees[v]]
         assert all(g[v] == v for g in generators for v in isolated)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_generators_give_the_edge_orbits(self, data):
+        """r in 1..4 and n in 0..6: the edge orbits under the group the
+        search's generators generate are the edge orbits under every
+        automorphism, found by trying all vertex permutations. The orderly
+        engine reads its parents' and children's edge orbits off these
+        generators."""
+        r = data.draw(st.integers(1, 4), label="r")
+        n = data.draw(st.integers(0, 6), label="n")
+        candidates = list(itertools.combinations(range(n), r))
+        m = data.draw(st.integers(0, len(candidates)), label="m")
+        h = Hypergraph.build(r, n, data.draw(st.permutations(candidates))[:m])
+        _, generators, _ = extremal.canonical_search(h)
+        edges = set(h.edges)
+        edge_maps = [  # each automorphism's action on the edges
+            action for action in (
+                {e: tuple(sorted(p[v] for v in e)) for e in h.edges}
+                for p in itertools.permutations(range(n))
+            ) if set(action.values()) == edges
+        ]
+        for e in h.edges:
+            orbit = [e]
+            for f in orbit:
+                for g in generators:
+                    image = tuple(sorted(g[v] for v in f))
+                    if image not in orbit:
+                        orbit.append(image)
+            assert set(orbit) == {action[e] for action in edge_maps}, e
 
     def test_thirteen_vertex_path(self):
         # Refinement splits the path down to its mirror symmetry, so the
@@ -288,26 +320,35 @@ class TestEnumeration:
         if (n, family) != (6, None)
     ])
     def test_engines_agree(self, n, family):
+        """The same classes, and no class twice: a level of the orderly
+        engine lists every child it accepts, so canonical augmentation
+        accepting a class twice would show twice here."""
         naive_keys = {
             canonical_form(Hypergraph(3, n, edges))
             for edges in _iter_free_edge_sets(n, 3, family)
         }
-        orderly_keys = {
+        orderly_keys = [
             canonical_form(h) for h in enumerate_free_classes(n, 3, family)
-        }
-        assert naive_keys == orderly_keys
+        ]
+        assert naive_keys == set(orderly_keys)
+        assert len(orderly_keys) == len(naive_keys)
 
     def test_each_parent_tries_one_child_per_orbit(self, monkeypatch):
-        """At n = 6 and r = 3 and 2, each cancellative class searches one
+        """At n = 6 and r = 3 and 2, each cancellative class considers one
         child for each orbit of its free non-edges under its automorphism
-        group, found by trying all 720 vertex permutations. The parent of a
-        search is the set of edges pushed on the engine's checker. At r = 2
-        these are the triangle-free graphs, most of whose parents have
-        isolated vertices."""
+        group, found by trying all 720 vertex permutations, and searches
+        exactly the considered children whose new edge has the top key, the
+        sorted degrees of its vertices in the child. A child is considered
+        when the engine's checker finds its new edge free, and its parent is
+        the set of edges pushed on the checker. At r = 2 these are the
+        triangle-free graphs, most of whose parents have isolated
+        vertices."""
         from shadowlab.forbidden import is_free
 
         family = Cancellative()
         pushed: list[int] = []
+        considered: dict = {}  # (r, parent) -> the new edges considered
+        searched: dict = {}  # (r, parent) -> the new edges searched
 
         class Traced(forbidden.IncrementalFreeChecker):
             def push(self, mask):
@@ -318,12 +359,23 @@ class TestEnumeration:
                 pushed.pop()
                 super().pop()
 
-        tries: Counter = Counter()
+            def would_violate(self, mask):
+                violates = super().would_violate(mask)
+                if not violates:
+                    considered.setdefault((self.r, frozenset(pushed)), []).append(mask)
+                return violates
+
         search = extremal.canonical_search
 
         def counted(h):
-            tries[h.r, frozenset(pushed)] += 1
+            parent = frozenset(pushed)
+            (new,) = set(h.edge_masks) - parent
+            searched.setdefault((h.r, parent), []).append(new)
             return search(h)
+
+        def key(edges, e):
+            degree = Counter(v for f in edges for v in f)
+            return sorted(degree[v] for v in e)
 
         perms = list(itertools.permutations(range(6)))
         for r in (3, 2):
@@ -341,7 +393,14 @@ class TestEnumeration:
                         and is_free(Hypergraph.build(r, 6, h.edges + (e,)), family)]
                 orbits = {frozenset(tuple(sorted(p[v] for v in e)) for p in automorphisms)
                           for e in free}
-                assert tries[r, frozenset(h.edge_masks)] == len(orbits), h.edges
+                parent = (r, frozenset(h.edge_masks))
+                tried = [tuple(v for v in range(6) if m >> v & 1)
+                         for m in considered.get(parent, [])]
+                assert len(tried) == len(orbits), h.edges
+                assert all(not o.isdisjoint(tried) for o in orbits), h.edges
+                top = [e for e in tried
+                       if all(key(h.edges + (e,), f) <= key(h.edges + (e,), e) for f in h.edges)]
+                assert searched.get(parent, []) == [sum(1 << v for v in e) for e in top], h.edges
 
     @pytest.mark.parametrize("n", range(13))
     def test_one_class_per_edge_count_of_a_1_graph(self, n):
