@@ -114,20 +114,20 @@ def _encode(r: int, n: int, certificate: tuple[int, ...]) -> bytes:
     return f"{r}/{n}:{payload}".encode()
 
 
-def canonical_search(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]], list[int]]:
-    """The certificate of h, the automorphisms the search found, and its
-    least leaf's labelling (vertex v to `labelling[v]`; empty when h has no
-    edge), which maps h's edges onto the certificate. Graphs on the same n
-    and r are isomorphic exactly when their certificates are equal. Each
-    automorphism fixes every isolated vertex; with the symmetric group on
-    those they generate Aut(h), and alone they give its edge orbits."""
+def canonical_search(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]], list[int], int]:
+    """The certificate of h, the automorphisms the search found, its least
+    leaf's labelling (vertex v to `labelling[v]`; empty when h has no edge),
+    which maps h's edges onto the certificate, and |Aut(h)|. Graphs on the
+    same n and r are isomorphic exactly when their certificates are equal.
+    Each automorphism fixes every isolated vertex; with the symmetric group
+    on those they generate Aut(h), and alone they give its edge orbits."""
     return _least_leaf(h)
 
 
-def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]], list[int]]:
+def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]], list[int], int]:
     """The least certificate of an individualization-refinement search
     (McKay and Piperno, "Practical graph isomorphism, II", 2014), the
-    automorphisms it found and the least leaf's labelling.
+    automorphisms it found, the least leaf's labelling and |Aut(h)|.
 
     Each node refines its partition, then individualizes in turn each vertex
     of the first non-singleton cell of non-isolated vertices. Isolated
@@ -138,11 +138,15 @@ def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]], list[i
     common ancestor, and a node skips each child in the orbit of an explored
     child under the automorphisms found so far that fix the node's prefix.
     More than `CANONICAL_NODE_BUDGET` nodes raise `ResourceBudgetError`, as
-    does a path deeper than Python's recursion limit."""
+    does a path deeper than Python's recursion limit. Each node on the first
+    leaf's path explores or prunes every child, so the automorphisms found
+    that fix its prefix generate that prefix's stabilizer: |Aut(h)| is the
+    product of the path's orbit sizes under them (nauty's group order)
+    times (number of isolated vertices)!."""
     n, edges = h.n, h.edges
     automorphisms: list[list[int]] = []
     if not edges:  # one leaf, whatever n is
-        return (), automorphisms, []
+        return (), automorphisms, [], math.factorial(n)
     weight = [(h.r + 1) ** c for c in range(n)]
     incidence = h.incidence
     isolated = sum(not i for i in incidence)
@@ -212,7 +216,12 @@ def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]], list[i
             f"canonical_form search deeper than the recursion limit ({nodes} nodes)",
             partial={"nodes": nodes},
         ) from None
-    return leaves[-1][0], automorphisms, leaves[-1][1]
+    order, fixing = math.factorial(isolated), automorphisms
+    singletons = {1 << v: (v,) for v in range(n)}
+    for v in leaves[0][2]:
+        order *= len(_edge_orbit(1 << v, fixing, singletons))
+        fixing = [g for g in fixing if g[v] == v]
+    return leaves[-1][0], automorphisms, leaves[-1][1], order
 
 
 def _target_cell(colours: list[int], incidence) -> list[int]:
@@ -307,11 +316,11 @@ def _stats(engine: str, counts: dict[int, int]) -> EnumerationStats:
 def _iter_free_edge_sets(
     n: int, r: int, family: Optional[Family]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Labeled DFS: extend by candidate edges of larger index only, prune on
-    violation (freeness is monotone under edge removal). Yields every free
-    edge set once, in preorder, so each set but the empty one is an earlier
-    set plus its last edge. Raises `ResourceBudgetError` rather than visit
-    more than `WALK_NODE_BUDGET` sets."""
+    """Labeled DFS of the naive engine and the bound sweep: extend by
+    candidate edges of larger index only, prune on violation (freeness is
+    monotone under edge removal). Yields every free edge set once, in
+    preorder, so each set but the empty one is an earlier set plus its last
+    edge. Raises `ResourceBudgetError` past `WALK_NODE_BUDGET` sets."""
     candidates = _walk_candidates(n, r)
     masks = [m for _, m in candidates]
     total = len(candidates)
@@ -403,7 +412,7 @@ def enumerate_free_classes(
                 if any(sorted(map(degree.__getitem__, f)) > key for f in rep.edges):
                     continue  # e is not top-key, so not the canonical deletion
                 child = Hypergraph(r, n, tuple(sorted(rep.edges + (e,))))
-                certificate, child_generators, labelling = canonical_search(child)
+                certificate, child_generators, labelling, _ = canonical_search(child)
                 deletion = min(
                     (x for x in child.edge_masks
                      if sorted(map(degree.__getitem__, vertices[x])) == key),
@@ -435,25 +444,16 @@ def _edge_orbit(m: int, generators: list[list[int]], vertices: dict) -> set[int]
 
 
 def extremal_search(n: int, r: int, family: Family) -> ExtremalResult:
-    """Exact extremal number with all extremal isomorphism classes."""
-    _check_shape(n, r)
-    best = 0
-    best_sets: list[tuple[tuple[int, ...], ...]] = []
-    for visited, edges in enumerate(_iter_free_edge_sets(n, r, family), 1):
-        if len(edges) > best:
-            best = len(edges)
-            best_sets = [edges]
-        elif len(edges) == best:
-            best_sets.append(edges)
-    forms: dict[bytes, Hypergraph] = {}
-    for edges in best_sets:
-        h = Hypergraph(r, n, edges)
-        forms.setdefault(canonical_form(h), h)
-    keys = tuple(sorted(forms))
-    return ExtremalResult(
-        n, r, str(family), best, keys, visited, len(keys) == 1,
-        forms[keys[0]] if keys else None,
-    )
+    """Exact extremal number with all extremal isomorphism classes, read off
+    the top level of `enumerate_free_classes` within its budget: forms come
+    sorted, and the example is the first representative. `count_searched`
+    is the labelled free-graph count, n!/|Aut(C)| summed over classes C."""
+    classes = enumerate_free_classes(n, r, family)
+    top = [h for h in classes if len(h) == len(classes[-1])]
+    forms = tuple(map(canonical_form, top))
+    labelled = sum(math.factorial(n) // canonical_search(h)[3] for h in classes)
+    return ExtremalResult(n, r, str(family), len(top[0]), forms, labelled,
+                          len(forms) == 1, top[0])
 
 
 # The sweep's bound names: Theorem 1 is Kruskal-Katona for every r-graph,

@@ -647,7 +647,7 @@ def test_module_entry_point_exit_codes(argv, budget, code, tmp_path):
 
 
 @pytest.mark.parametrize("argv, search", [
-    (["extremal", "--n", "10000", "--r", "3", "--family", "cancellative"], "labelled walk"),
+    (["extremal", "--n", "10000", "--r", "3", "--family", "cancellative"], "orderly engine"),
     (["enumerate", "--n", "60", "--r", "30"], "labelled walk"),
     (["enumerate", "--n", "5000", "--r", "4999", "--verify-bound", "thm1"], "labelled walk"),
     (["enumerate", "--n", "1000", "--r", "998", "--engine", "orderly"], "orderly engine"),

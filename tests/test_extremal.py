@@ -109,7 +109,7 @@ class TestCanonicalForm:
         candidates = list(itertools.combinations(range(n), r))
         m = data.draw(st.integers(0, len(candidates)), label="m")
         h = Hypergraph.build(r, n, data.draw(st.permutations(candidates))[:m])
-        certificate, generators, labelling = extremal.canonical_search(h)
+        certificate, generators, labelling, _ = extremal.canonical_search(h)
         assert _encode_certificate(h, certificate) == canonical_form(h)
         assert tuple(sorted(sum(1 << labelling[v] for v in e) for e in h.edges)) == certificate
         edges = set(h.edges)
@@ -124,15 +124,17 @@ class TestCanonicalForm:
     def test_generators_give_the_edge_orbits(self, data):
         """r in 1..4 and n in 0..6: the edge orbits under the group the
         search's generators generate are the edge orbits under every
-        automorphism, found by trying all vertex permutations. The orderly
-        engine reads its parents' and children's edge orbits off these
-        generators."""
+        automorphism, found by trying all vertex permutations, and the
+        search's group order is the number of those permutations. The
+        orderly engine reads its parents' and children's edge orbits off
+        these generators, and `extremal_search` its labelled count off the
+        group orders."""
         r = data.draw(st.integers(1, 4), label="r")
         n = data.draw(st.integers(0, 6), label="n")
         candidates = list(itertools.combinations(range(n), r))
         m = data.draw(st.integers(0, len(candidates)), label="m")
         h = Hypergraph.build(r, n, data.draw(st.permutations(candidates))[:m])
-        _, generators, _ = extremal.canonical_search(h)
+        _, generators, _, order = extremal.canonical_search(h)
         edges = set(h.edges)
         edge_maps = [  # each automorphism's action on the edges
             action for action in (
@@ -140,6 +142,7 @@ class TestCanonicalForm:
                 for p in itertools.permutations(range(n))
             ) if set(action.values()) == edges
         ]
+        assert order == len(edge_maps)
         for e in h.edges:
             orbit = [e]
             for f in orbit:
@@ -148,6 +151,13 @@ class TestCanonicalForm:
                     if image not in orbit:
                         orbit.append(image)
             assert set(orbit) == {action[e] for action in edge_maps}, e
+
+    @pytest.mark.parametrize("n, r", [(5, 3), (6, 3), (7, 2), (6, 4)])
+    def test_group_orders_count_the_labelled_graphs(self, n, r):
+        """Orbit-stabilizer over all r-graphs on n vertices: n!/|Aut(C)|
+        summed over the classes C is the 2^C(n, r) labelled graphs."""
+        orders = [extremal.canonical_search(h)[3] for h in enumerate_free_classes(n, r, None)]
+        assert sum(math.factorial(n) // order for order in orders) == 2 ** math.comb(n, r)
 
     def test_thirteen_vertex_path(self):
         # Refinement splits the path down to its mirror symmetry, so the
@@ -239,12 +249,11 @@ class TestEnumeration:
         assert enumerate_free(4, 3, None).visited == 16
 
     def test_naive_budget(self, monkeypatch):
-        """The labelled walk counts the sets it visits; the naive engine, the
-        extremal search and the sweep all stop on its budget."""
+        """The labelled walk counts the sets it visits; the naive engine and
+        the sweep both stop on its budget."""
         visits = enumerate_free(5, 3, Cancellative()).visited
         for search in (
             lambda: enumerate_free(5, 3, Cancellative()),
-            lambda: extremal_search(5, 3, Cancellative()),
             lambda: verify_bound_over_enumeration(5, 3, Cancellative(), "thm3"),
         ):
             monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits)
@@ -256,14 +265,15 @@ class TestEnumeration:
 
     def test_orderly_budget(self, monkeypatch):
         """The orderly engine counts the candidate edges it scans: C(n, r)
-        per class, whatever the orbit pruning skips. Library calls stop on
-        the budget as the engine does."""
+        per class, whatever the orbit pruning skips. Library calls, the
+        extremal search among them, stop on the budget as the engine does."""
         family = Cancellative()
         scans = len(enumerate_free_classes(6, 3, family)) * math.comb(6, 3)
         assert scans == 600
         for search in (
             lambda: enumerate_free_classes(6, 3, family),
             lambda: enumerate_free(6, 3, family, engine="orderly"),
+            lambda: extremal_search(6, 3, family),
         ):
             monkeypatch.setattr(extremal, "ORDERLY_NODE_BUDGET", scans)
             search()
@@ -481,6 +491,26 @@ class TestExtremalSearch:
         result = extremal_search(7, 3, family)
         assert (result.max_edges, result.unique, result.count_searched) == (12, True, searched)
         assert are_isomorphic(result.example, turan(7, 3, 3)[0])
+
+    @pytest.mark.parametrize("family", [Cancellative(), Expansion(3), Expansion(4)], ids=str)
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("n", range(7))
+    def test_agrees_with_the_labelled_walk(self, n, r, family, monkeypatch):
+        """The maximum over the labelled walk: its edge count, the forms of
+        its largest sets and the number of sets it visits. The search reads
+        the class engine and never walks."""
+        sets = list(_iter_free_edge_sets(n, r, family))
+        best = max(map(len, sets))
+        forms = {canonical_form(Hypergraph(r, n, e)) for e in sets if len(e) == best}
+
+        def walk(*args):
+            raise AssertionError("extremal_search walked the labelled sets")
+
+        monkeypatch.setattr(extremal, "_iter_free_edge_sets", walk)
+        result = extremal_search(n, r, family)
+        assert (result.max_edges, result.extremal_forms, result.count_searched) == (
+            best, tuple(sorted(forms)), len(sets))
+        assert canonical_form(result.example) == result.extremal_forms[0]
 
 
 class TestBoundSweeps:
