@@ -301,9 +301,9 @@ def _cmd_lemmas(args) -> tuple[int, Optional[str], list]:
 
 
 def _cmd_enumerate(args) -> tuple[int, Optional[str], list]:
-    """The sweep runs first, so a bad bound fails before any enumeration and
-    a walk past its budget before the orderly engine starts; its walk is the
-    naive engine's, so its stats stand in for a second walk."""
+    """The sweep runs first, so a bad bound fails before any enumeration. It
+    counts the labelled graphs over the classes, so its stats stand in for
+    the naive engine's walk, which then never runs."""
     fam = _family(args.family, args.l, args.r)
     if not args.verify_bound:
         stats = enumerate_free(args.n, args.r, fam, engine=args.engine)

@@ -64,7 +64,7 @@ class SweepReport:
     violations: tuple[tuple[tuple[int, ...], ...], ...]
     min_slack: float
     argmin_edges: tuple[tuple[int, ...], ...]
-    enumeration: EnumerationStats  # the walk's, as the naive engine counts it
+    enumeration: EnumerationStats  # labelled counts, as the naive engine's walk gives them
 
 
 def _refine(colours: list[int], cells: int, goal: int, edges, incidence, weight) -> int:
@@ -263,20 +263,6 @@ def _candidates(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
     return [(e, sum(1 << v for v in e)) for e in itertools.combinations(range(n), r)]
 
 
-def _walk_candidates(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
-    """The labelled walk's candidates. Raises `ResourceBudgetError` before
-    listing them when the walk is sure to pass its budget, or when the list
-    would hold more vertices, r * c, than the budget has nodes. A set of at
-    most two edges is free of each family (a cancellative triple has three
-    edges; an expansion core of ell + 1 > r vertices lies in neither edge,
-    so it holds a vertex of each that is not in the other, an uncovered
-    pair), so the walk visits at least 1 + c + C(c, 2) sets."""
-    c = math.comb(n, r)
-    if max(1 + c + math.comb(c, 2), r * c) > WALK_NODE_BUDGET:
-        raise ResourceBudgetError.nodes("labelled walk", WALK_NODE_BUDGET)
-    return _candidates(n, r)
-
-
 def _check_shape(n: int, r: int) -> None:
     if n < 0 or r < 1:
         raise ParameterError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
@@ -316,12 +302,20 @@ def _stats(engine: str, counts: dict[int, int]) -> EnumerationStats:
 def _iter_free_edge_sets(
     n: int, r: int, family: Optional[Family]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Labeled DFS of the naive engine and the bound sweep: extend by
-    candidate edges of larger index only, prune on violation (freeness is
-    monotone under edge removal). Yields every free edge set once, in
-    preorder, so each set but the empty one is an earlier set plus its last
-    edge. Raises `ResourceBudgetError` past `WALK_NODE_BUDGET` sets."""
-    candidates = _walk_candidates(n, r)
+    """Labeled DFS of the naive engine: extend by candidate edges of larger
+    index only, prune on violation (freeness is monotone under edge
+    removal). Yields every free edge set once, in preorder. Raises
+    `ResourceBudgetError` past `WALK_NODE_BUDGET` sets, and before listing
+    the candidates when the walk is sure to pass it, or when the list would
+    hold more vertices, r * c, than the budget has nodes. A set of at most
+    two edges is free of each family (a cancellative triple has three
+    edges; an expansion core of ell + 1 > r vertices lies in neither edge,
+    so it holds a vertex of each that is not in the other, an uncovered
+    pair), so the walk visits at least 1 + c + C(c, 2) sets."""
+    c = math.comb(n, r)
+    if max(1 + c + math.comb(c, 2), r * c) > WALK_NODE_BUDGET:
+        raise ResourceBudgetError.nodes("labelled walk", WALK_NODE_BUDGET)
+    candidates = _candidates(n, r)
     masks = [m for _, m in candidates]
     total = len(candidates)
     checker = IncrementalFreeChecker(n, r, family) if family is not None else None
@@ -354,13 +348,16 @@ def _iter_free_edge_sets(
             return
 
 
-def enumerate_free_classes(
-    n: int, r: int, family: Optional[Family]
-) -> list[Hypergraph]:
-    """Isomorph-free enumeration by canonical augmentation (McKay,
-    "Isomorph-free exhaustive generation", 1998). A child of a class
-    representative P is P + e for a candidate edge e. Candidates in one
-    orbit of Aut(P) give isomorphic children, so P tries only the least of
+def enumerate_free_classes(n: int, r: int, family: Optional[Family]) -> list[Hypergraph]:
+    """The class representatives of `_free_classes`, in its order."""
+    return [h for h, _ in _free_classes(n, r, family)]
+
+
+def _free_classes(n: int, r: int, family: Optional[Family]) -> list[tuple[Hypergraph, int]]:
+    """Each class representative with its |Aut|. Isomorph-free enumeration
+    by canonical augmentation (McKay, "Isomorph-free exhaustive
+    generation", 1998). A child of a class representative P is P + e for a
+    candidate edge e. Candidates in one orbit of Aut(P) give isomorphic children, so P tries only the least of
     each orbit; Aut(P) is the search's automorphisms, which fix the isolated
     vertices, times their symmetric group, so that least candidate holds
     P's least isolated vertices. A free child C is kept only when e lies in
@@ -370,9 +367,10 @@ def enumerate_free_classes(
     C's search labels least; a child whose e is not top-key is dropped
     before any search. Each level is sorted on its forms: the order is edge
     count, then canonical key. The representatives are the children kept,
-    not the first child of each class in scan order. Raises
-    `ResourceBudgetError` rather than scan more than `ORDERLY_NODE_BUDGET`
-    candidate edges, C(n, r) per class."""
+    not the first child of each class in scan order. |Aut| of a kept child
+    comes from the search that tested it, and the empty root's is n!.
+    Raises `ResourceBudgetError` rather than scan more than
+    `ORDERLY_NODE_BUDGET` candidate edges, C(n, r) per class."""
     _check_shape(n, r)
     # Refuse before listing the candidates when the scans sure to come, or
     # the r * c vertices of the list, pass the budget. k disjoint edges are
@@ -386,13 +384,13 @@ def enumerate_free_classes(
     candidates = _candidates(n, r)
     vertices = {m: e for e, m in candidates}
     nodes = 0
-    empty = Hypergraph(r, n, ())
-    out = [empty]
-    level = [(b"", empty, [])]
+    out: list[tuple[Hypergraph, int]] = []
+    level = [(b"", Hypergraph(r, n, ()), [], math.factorial(n))]
     checker = IncrementalFreeChecker(n, r, family) if family is not None else None
     while level:
-        next_level: list[tuple[bytes, Hypergraph, list[list[int]]]] = []
-        for _, rep, generators in level:
+        out.extend((rep, order) for _, rep, _, order in level)
+        next_level: list[tuple[bytes, Hypergraph, list[list[int]], int]] = []
+        for _, rep, generators, _ in level:
             nodes += c
             if nodes > ORDERLY_NODE_BUDGET:
                 raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
@@ -404,7 +402,8 @@ def enumerate_free_classes(
             for e, m in candidates:
                 if m in seen or (k := m & iso) != iso & ((1 << k.bit_length()) - 1):
                     continue  # a tried orbit, or a lesser isolated vertex left out
-                seen |= _edge_orbit(m, generators, vertices)  # m is its orbit's least
+                if generators:  # else the orbit is {m}, which the scan never meets again
+                    seen |= _edge_orbit(m, generators, vertices)  # m is its orbit's least
                 if checker is not None and checker.would_violate(m):
                     continue
                 degree = [d + (m >> v & 1) for v, d in enumerate(rep.degrees)]  # in the child
@@ -412,19 +411,20 @@ def enumerate_free_classes(
                 if any(sorted(map(degree.__getitem__, f)) > key for f in rep.edges):
                     continue  # e is not top-key, so not the canonical deletion
                 child = Hypergraph(r, n, tuple(sorted(rep.edges + (e,))))
-                certificate, child_generators, labelling, _ = canonical_search(child)
+                certificate, child_generators, labelling, order = canonical_search(child)
                 deletion = min(
                     (x for x in child.edge_masks
                      if sorted(map(degree.__getitem__, vertices[x])) == key),
                     key=lambda x: sum(1 << labelling[v] for v in vertices[x]),
                 )
-                if m in _edge_orbit(deletion, child_generators, vertices):
-                    next_level.append((_encode(r, n, certificate), child, child_generators))
+                if m == deletion or child_generators and m in _edge_orbit(
+                        deletion, child_generators, vertices):
+                    next_level.append(
+                        (_encode(r, n, certificate), child, child_generators, order))
             if checker is not None:
                 for _ in rep.edge_masks:
                     checker.pop()
         next_level.sort(key=lambda accepted: accepted[0])
-        out.extend(child for _, child, _ in next_level)
         level = next_level
     return out
 
@@ -448,10 +448,10 @@ def extremal_search(n: int, r: int, family: Family) -> ExtremalResult:
     the top level of `enumerate_free_classes` within its budget: forms come
     sorted, and the example is the first representative. `count_searched`
     is the labelled free-graph count, n!/|Aut(C)| summed over classes C."""
-    classes = enumerate_free_classes(n, r, family)
-    top = [h for h in classes if len(h) == len(classes[-1])]
+    classes = _free_classes(n, r, family)
+    top = [h for h, _ in classes if len(h) == len(classes[-1][0])]
     forms = tuple(map(canonical_form, top))
-    labelled = sum(math.factorial(n) // canonical_search(h)[3] for h in classes)
+    labelled = sum(math.factorial(n) // order for _, order in classes)
     return ExtremalResult(n, r, str(family), len(top[0]), forms, labelled,
                           len(forms) == 1, top[0])
 
@@ -473,53 +473,48 @@ def verify_bound_over_enumeration(
     ell: Optional[int] = None,
 ) -> SweepReport:
     """Evaluate the named bound on every family-free graph; report the worst
-    slack and any violations (expected none). The walk is the naive
-    engine's, so the report also carries its enumeration stats. A shadow is
-    one int with a bit per (r-1)-set, and its size is its bit count.
-    `shadows[k]` is the shadow of the current set's first k edges: the walk
-    yields each set right after its prefix, so a visit truncates the list to
-    its prefix and ORs in the last edge's bits."""
+    slack and one representative per violating class (expected none). A
+    bound reads only |H| and |∂H|, so the sweep visits each class of
+    `_free_classes` once and counts it n!/|Aut| times, which gives the
+    naive engine's labelled counts. `argmin_edges` is the first class in
+    the engine's order at `min_slack`. A shadow is the OR of its edges'
+    bits, one per (r-1)-set, and its size is its bit count."""
     _check_shape(n, r)
     if bound_kind not in _SWEEP_BOUNDS:
         raise ParameterError(f"unknown bound kind {bound_kind!r}")
     if bound_kind == "thm6" and ell is None:
         raise ParameterError("thm6 sweep needs ell")
     bound_family = _SWEEP_BOUNDS[bound_kind](ell)
-    candidates = _walk_candidates(n, r)
-    if (r - 1) * math.comb(n, r - 1) > WALK_NODE_BUDGET:  # `ids` holds these vertices
-        raise ResourceBudgetError.nodes("labelled walk", WALK_NODE_BUDGET)
+    if (r - 1) * math.comb(n, r - 1) > ORDERLY_NODE_BUDGET:  # `ids` holds these vertices
+        raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
+    classes = _free_classes(n, r, family)
     ids = {s: i for i, s in enumerate(itertools.combinations(range(n), r - 1))}
     shadow_bits = {
         e: sum(1 << ids[s] for s in itertools.combinations(e, r - 1))
-        for e, _ in candidates
+        for e, _ in _candidates(n, r)
     }
-
-    bound_cache: dict[int, float] = {}
-
-    def bound_for(s: int) -> float:
-        if s not in bound_cache:
-            bound_cache[s] = shadow_bound(bound_family, s, r)[1]
-        return bound_cache[s]
-
-    shadows = [0]
-    counts = [0] * (len(shadow_bits) + 1)  # counts[m] = visits with m edges
+    bounds: dict[int, float] = {}  # the bound by shadow size
+    counts: Counter = Counter()  # counts[m] = labelled graphs with m edges
     violations: list[tuple[tuple[int, ...], ...]] = []
     min_slack = math.inf
     argmin: tuple[tuple[int, ...], ...] = ()
-    for edges in _iter_free_edge_sets(n, r, family):
-        m = len(edges)
-        counts[m] += 1
+    for h, order in classes:
+        m = len(h)
+        counts[m] += math.factorial(n) // order
         if not m:
             continue
-        del shadows[m:]
-        shadows.append(shadows[-1] | shadow_bits[edges[-1]])
-        slack = bound_for(shadows[m].bit_count()) - m
+        shadow = 0
+        for e in h.edges:
+            shadow |= shadow_bits[e]
+        if (s := shadow.bit_count()) not in bounds:
+            bounds[s] = shadow_bound(bound_family, s, r)[1]
+        slack = bounds[s] - m
         if not at_least(slack, 0.0):
-            violations.append(edges)
+            violations.append(h.edges)
         if slack < min_slack:
             min_slack = slack
-            argmin = edges
-    stats = _stats("naive", {m: c for m, c in enumerate(counts) if c})
+            argmin = h.edges
+    stats = _stats("naive", counts)
     return SweepReport(
         n, r, str(family) if family is not None else "none", bound_kind,
         stats.visited, tuple(violations), min_slack, argmin, stats,

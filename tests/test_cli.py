@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlab import Cancellative, Hypergraph, complete, extremal, turan
+from shadowlab import Cancellative, Hypergraph, complete, extremal, shadow, turan
+from shadowlab.bounds import at_least, cancellative_bound
 from shadowlab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -26,7 +27,7 @@ from shadowlab.cli import (
 from shadowlab.errors import EdgeListParseError, ParameterError
 
 from conftest import reference_build
-from shadowlab.extremal import random_free_graph
+from shadowlab.extremal import canonical_form, random_free_graph
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -329,19 +330,16 @@ class TestCommands:
     @pytest.mark.parametrize("engine, visited", [("naive", 141), ("orderly", 7)])
     def test_verify_bound_walks_the_labelled_graphs_once(
             self, engine, visited, tmp_path, monkeypatch):
-        walks = []
-        labelled_walk = extremal._iter_free_edge_sets
+        """The sweep counts the labelled graphs over the classes and walks
+        none of them, so its counts stand in for the naive engine's."""
+        def walk(*args):
+            raise AssertionError("the sweep walked the labelled sets")
 
-        def counted(*args, **kwargs):
-            walks.append(args)
-            return labelled_walk(*args, **kwargs)
-
-        monkeypatch.setattr(extremal, "_iter_free_edge_sets", counted)
+        monkeypatch.setattr(extremal, "_iter_free_edge_sets", walk)
         out = tmp_path / "r.json"
         assert run(["enumerate", "--n", "5", "--r", "3", "--family", "expansion",
                     "--l", "3", "--engine", engine, "--verify-bound", "thm6",
                     "--out", str(out)]) == EXIT_OK
-        assert len(walks) == 1
         enum, swept = load_report(out)["results"]
         assert (enum["engine"], enum["visited"], swept["visited"]) == (engine, visited, 141)
         assert "enumeration" not in swept
@@ -512,11 +510,19 @@ class TestExitCodes:
                 assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bound_sweep_violation_fails(self, tmp_path):
-        # thm3 over every 3-graph on 4 vertices: K_4^3 beats the bound.
+        # thm3 over every 3-graph on 4 vertices: K_4^3 and the graphs with
+        # three edges beat the bound. The report names one graph per class,
+        # 2 for the walk's 5 labelled sets.
         out = tmp_path / "r.json"
         assert run(["enumerate", "--n", "4", "--r", "3", "--verify-bound",
                     "thm3", "--out", str(out)]) == EXIT_CHECK_FAILED
-        assert len(load_report(out)["results"][1]["violations"]) == 5
+        reported = [canonical_form(Hypergraph.build(3, 4, v))
+                    for v in load_report(out)["results"][1]["violations"]]
+        walked = {canonical_form(Hypergraph(3, 4, e))
+                  for e in extremal._iter_free_edge_sets(4, 3, None)
+                  if e and not at_least(cancellative_bound(len(shadow(Hypergraph(3, 4, e))), 3)[1]
+                                  - len(e), 0.0)}
+        assert sorted(reported) == sorted(walked) and len(reported) == 2
 
     def test_certificate_failure_fails(self, tmp_path):
         # 15 cancellative edges on 8 vertices: the fit removes 3 edges
@@ -649,7 +655,7 @@ def test_module_entry_point_exit_codes(argv, budget, code, tmp_path):
 @pytest.mark.parametrize("argv, search", [
     (["extremal", "--n", "10000", "--r", "3", "--family", "cancellative"], "orderly engine"),
     (["enumerate", "--n", "60", "--r", "30"], "labelled walk"),
-    (["enumerate", "--n", "5000", "--r", "4999", "--verify-bound", "thm1"], "labelled walk"),
+    (["enumerate", "--n", "5000", "--r", "4999", "--verify-bound", "thm1"], "orderly engine"),
     (["enumerate", "--n", "1000", "--r", "998", "--engine", "orderly"], "orderly engine"),
     (["enumerate", "--n", "999", "--r", "999", "--engine", "orderly"], "canonical_form"),
 ], ids=["extremal-n10000", "walk-n60-r30", "sweep-r-is-n-1", "orderly-r-is-n-2",

@@ -249,24 +249,21 @@ class TestEnumeration:
         assert enumerate_free(4, 3, None).visited == 16
 
     def test_naive_budget(self, monkeypatch):
-        """The labelled walk counts the sets it visits; the naive engine and
-        the sweep both stop on its budget."""
+        """The labelled walk counts the sets it visits, and the naive engine
+        stops on its budget."""
         visits = enumerate_free(5, 3, Cancellative()).visited
-        for search in (
-            lambda: enumerate_free(5, 3, Cancellative()),
-            lambda: verify_bound_over_enumeration(5, 3, Cancellative(), "thm3"),
-        ):
-            monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits)
-            search()
-            monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits - 1)
-            with pytest.raises(ResourceBudgetError) as caught:
-                search()
-            assert caught.value.partial == {"nodes": visits - 1}
+        monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits)
+        enumerate_free(5, 3, Cancellative())
+        monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits - 1)
+        with pytest.raises(ResourceBudgetError) as caught:
+            enumerate_free(5, 3, Cancellative())
+        assert caught.value.partial == {"nodes": visits - 1}
 
     def test_orderly_budget(self, monkeypatch):
         """The orderly engine counts the candidate edges it scans: C(n, r)
         per class, whatever the orbit pruning skips. Library calls, the
-        extremal search among them, stop on the budget as the engine does."""
+        extremal search and the bound sweep among them, stop on the budget
+        as the engine does."""
         family = Cancellative()
         scans = len(enumerate_free_classes(6, 3, family)) * math.comb(6, 3)
         assert scans == 600
@@ -274,6 +271,7 @@ class TestEnumeration:
             lambda: enumerate_free_classes(6, 3, family),
             lambda: enumerate_free(6, 3, family, engine="orderly"),
             lambda: extremal_search(6, 3, family),
+            lambda: verify_bound_over_enumeration(6, 3, family, "thm3"),
         ):
             monkeypatch.setattr(extremal, "ORDERLY_NODE_BUDGET", scans)
             search()
@@ -472,6 +470,23 @@ class TestExtremalSearch:
     def test_cancellative_small(self):
         assert extremal_search(5, 3, Cancellative()).max_edges == 4
 
+    @pytest.mark.parametrize("family", [Cancellative(), Expansion(3)], ids=str)
+    def test_searches_no_class_twice(self, family, monkeypatch):
+        """|Aut| comes with each class from the engine's own search, so the
+        extremal search makes no more canonical searches than the engine."""
+        calls = []
+        search = extremal.canonical_search
+
+        def counted(h):
+            calls.append(h)
+            return search(h)
+
+        monkeypatch.setattr(extremal, "canonical_search", counted)
+        enumerate_free_classes(6, 3, family)
+        engine = len(calls)
+        extremal_search(6, 3, family)
+        assert engine > 0 and len(calls) - engine <= engine
+
     def test_single_possible_edge(self):
         result = extremal_search(3, 3, Cancellative())
         assert result.max_edges == 1 and result.unique
@@ -530,17 +545,20 @@ class TestBoundSweeps:
 
     @pytest.mark.parametrize("kind", ["thm2", "thm6"])
     def test_bad_bound_rejected_before_the_dfs(self, kind):
-        # n = 8 is past the naive budget, so only a check made first can
-        # raise ParameterError (thm6 without ell).
+        # All 3-graphs on 8 vertices pass the orderly budget, so only a
+        # check made first can raise ParameterError (thm6 without ell).
         with pytest.raises(ParameterError):
             verify_bound_over_enumeration(8, 3, None, kind)
 
     def test_violations_reported(self):
         # thm3 over every 3-graph on 4 vertices: K_4^3 and the graphs with
-        # three edges beat the cancellative bound.
+        # three edges beat the cancellative bound. The walk meets 5 such
+        # labelled sets; the sweep reports one per class, of 2 classes.
         report = verify_bound_over_enumeration(4, 3, None, "thm3")
         assert report.visited == 16
-        assert len(report.violations) == 5
+        forms = [canonical_form(Hypergraph(3, 4, v)) for v in report.violations]
+        assert len(forms) == 2
+        assert sorted(forms) == sorted(set(walk_violation_forms(4, 3)))
         assert report.min_slack == pytest.approx(-1.1715728752538106)
         assert report.argmin_edges == complete(4, 3).edges
 
@@ -564,31 +582,59 @@ class TestBoundSweeps:
     @pytest.mark.parametrize("r", [2, 3, 4])
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("kind", ["thm1", "thm3", "thm6"])
-    def test_incremental_shadow_matches_recomputation(self, kind, n, r):
-        """The sweep's prefix-kept shadow bits give the same report as
-        len(shadow(h)) recomputed for every graph the DFS yields."""
+    def test_incremental_shadow_matches_recomputation(self, kind, n, r, monkeypatch):
+        """The sweep over the classes gives the labelled walk's report, with
+        len(shadow(h)) recomputed for every graph the walk yields: the same
+        visits and least slack, and one violation per violating class."""
         ell = r + 1 if kind == "thm6" else None
         family = {"thm1": None, "thm3": Cancellative(), "thm6": Expansion(ell)}[kind]
-        bound = {
-            "thm1": lambda s: falling_binomial(solve_binomial_x(s, r - 1), r),
-            "thm3": lambda s: cancellative_bound(s, r)[1],
-            "thm6": lambda s: expansion_bound(s, ell, r)[1],
-        }[kind]
-        visited, violations, min_slack, argmin = 0, [], float("inf"), ()
+        visited, forms, min_slack = 0, set(), float("inf")
         for edges in _iter_free_edge_sets(n, r, family):
             visited += 1
             if not edges:
                 continue
-            slack = bound(len(shadow(Hypergraph(r, n, edges)))) - len(edges)
+            slack = sweep_bound(kind, r, ell)(len(shadow(Hypergraph(r, n, edges)))) - len(edges)
             if slack < -TOLERANCE:
-                violations.append(edges)
-            if slack < min_slack:
-                min_slack, argmin = slack, edges
+                forms.add(canonical_form(Hypergraph(r, n, edges)))
+            min_slack = min(min_slack, slack)
+        monkeypatch.setattr(extremal, "_iter_free_edge_sets", refuse_walk)
         report = verify_bound_over_enumeration(n, r, family, kind, ell)
         assert report.visited == visited
-        assert report.violations == tuple(violations)
         assert report.min_slack == min_slack
-        assert report.argmin_edges == argmin
+        assert sorted(canonical_form(Hypergraph(r, n, v)) for v in report.violations) == sorted(forms)
+        if report.argmin_edges:
+            argmin = Hypergraph(r, n, report.argmin_edges)
+            assert sweep_bound(kind, r, ell)(len(shadow(argmin))) - len(argmin) == min_slack
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(6))
+    def test_enumeration_is_the_walks(self, n, r):
+        """The labelled counts by edge count, n!/|Aut| summed over the
+        classes, are the walk's, for each family."""
+        for family in (None, Cancellative(), Expansion(r + 1), Expansion(r + 2)):
+            report = verify_bound_over_enumeration(n, r, family, "thm1")
+            assert report.enumeration == enumerate_free(n, r, family), family
+
+
+def sweep_bound(kind, r, ell):
+    """The named bound as a function of the shadow size, from the formulas."""
+    return {
+        "thm1": lambda s: falling_binomial(solve_binomial_x(s, r - 1), r),
+        "thm3": lambda s: cancellative_bound(s, r)[1],
+        "thm6": lambda s: expansion_bound(s, ell, r)[1],
+    }[kind]
+
+
+def walk_violation_forms(n, r):
+    """The forms of the labelled 3-graphs the walk meets that beat thm3, one
+    per labelled set."""
+    bound = sweep_bound("thm3", r, None)
+    return [canonical_form(Hypergraph(r, n, e)) for e in _iter_free_edge_sets(n, r, None)
+            if e and bound(len(shadow(Hypergraph(r, n, e)))) - len(e) < -TOLERANCE]
+
+
+def refuse_walk(*args):
+    raise AssertionError("the sweep walked the labelled sets")
 
 
 class TestRandomFree:
