@@ -301,9 +301,10 @@ def _cmd_lemmas(args) -> tuple[int, Optional[str], list]:
 
 
 def _cmd_enumerate(args) -> tuple[int, Optional[str], list]:
-    """The sweep runs first, so a bad bound fails before any enumeration. It
-    counts the labelled graphs over the classes, so its stats stand in for
-    the naive engine's walk, which then never runs."""
+    """The sweep runs first, so a bad bound fails before any enumeration.
+    Both engines read the class pass, and the sweep's stats are the naive
+    engine's labelled counts over it, so only the orderly engine reads the
+    pass again."""
     fam = _family(args.family, args.l, args.r)
     if not args.verify_bound:
         stats = enumerate_free(args.n, args.r, fam, engine=args.engine)

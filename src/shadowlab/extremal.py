@@ -1,18 +1,19 @@
 """Exhaustive enumeration of small free hypergraphs, canonical forms, exact
 extremal numbers, and bound sweeps.
 
-Two engines exist on purpose: the naive engine walks every labeled edge
-subset (with monotone freeness pruning) and acts as the trusted oracle; the
-orderly engine builds isomorphism classes level by level by canonical
-augmentation, trying one child edge per orbit of the parent's automorphism
-group and testing it on the parent's `IncrementalFreeChecker` as the
-labeled walk and the sampler test each new edge. A child edge takes the
-least of the parent's isolated vertices, which the automorphisms fix, and
-a free child is kept only when its new edge is in the orbit of its
-canonical deletion. Certificates, labellings, canonical forms and
-automorphisms come from an in-house
-individualization-refinement search with automorphism pruning, so they
-stay self-contained and testable.
+One class pass serves every enumeration: canonical augmentation builds the
+isomorphism classes level by level, trying one child edge per orbit of the
+parent's automorphism group and testing it on the parent's
+`IncrementalFreeChecker` as the sampler tests each new edge. A child edge
+takes the least of the parent's isolated vertices, which the automorphisms
+fix, and a free child is kept only when its new edge is in the orbit of its
+canonical deletion. Each class comes with its form and |Aut|, so the naive
+engine's labelled counts are n!/|Aut| summed over the classes and the
+orderly engine's are the classes themselves. The labelled DFS over every
+edge subset, `_iter_free_edge_sets`, is kept only as the oracle the tests
+compare the class pass against. Certificates, labellings, canonical forms
+and automorphisms come from an in-house individualization-refinement
+search with automorphism pruning, so they stay self-contained and testable.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, IncrementalFreeChecker
 from .hypercore import Hypergraph, mask_to_tuple
 
-WALK_NODE_BUDGET = 2 ** 24       # edge sets one labelled walk may visit
 ORDERLY_NODE_BUDGET = 10 ** 6    # candidate edges one orderly run may scan
 CANONICAL_NODE_BUDGET = 100_000  # search-tree nodes one canonical search may visit
 
@@ -64,7 +64,7 @@ class SweepReport:
     violations: tuple[tuple[tuple[int, ...], ...], ...]
     min_slack: float
     argmin_edges: tuple[tuple[int, ...], ...]
-    enumeration: EnumerationStats  # labelled counts, as the naive engine's walk gives them
+    enumeration: EnumerationStats  # the naive engine's labelled counts
 
 
 def _refine(colours: list[int], cells: int, goal: int, edges, incidence, weight) -> int:
@@ -276,45 +276,35 @@ def enumerate_free(
 ) -> EnumerationStats:
     """Count every family-free r-graph on n vertices by edge count.
 
-    The naive engine visits each labeled graph once; the orderly engine
-    visits one canonical representative per isomorphism class. Any n is
-    tried: each engine raises `ResourceBudgetError` past its node budget.
+    Both engines read the classes of `_free_classes`: the naive engine
+    counts each labelled graph once, n!/|Aut| per class, and the orderly
+    engine counts each class once. Any n is tried: the class pass raises
+    `ResourceBudgetError` past its node budget.
     """
-    _check_shape(n, r)
-    if engine == "naive":
-        graphs = _iter_free_edge_sets(n, r, family)
-    elif engine == "orderly":
-        graphs = enumerate_free_classes(n, r, family)
-    else:
+    if engine not in ("naive", "orderly"):
         raise ParameterError(f"unknown engine {engine!r}")
-    return _stats(engine, Counter(map(len, graphs)))
+    return _stats(engine, _free_classes(n, r, family))
 
 
-def _stats(engine: str, counts: dict[int, int]) -> EnumerationStats:
+def _stats(engine: str, classes: list[tuple[bytes, Hypergraph, int]]) -> EnumerationStats:
+    """The engine's counts by edge count over the classes of `_free_classes`:
+    n!/|Aut| labelled graphs per class for "naive", one per class for
+    "orderly"."""
+    counts: Counter = Counter()
+    for _, h, order in classes:
+        counts[len(h)] += math.factorial(h.n) // order if engine == "naive" else 1
     return EnumerationStats(
-        engine,
-        sum(counts.values()),
-        max(counts) if counts else 0,
-        tuple(sorted(counts.items())),
+        engine, sum(counts.values()), max(counts), tuple(sorted(counts.items()))
     )
 
 
 def _iter_free_edge_sets(
     n: int, r: int, family: Optional[Family]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Labeled DFS of the naive engine: extend by candidate edges of larger
-    index only, prune on violation (freeness is monotone under edge
-    removal). Yields every free edge set once, in preorder. Raises
-    `ResourceBudgetError` past `WALK_NODE_BUDGET` sets, and before listing
-    the candidates when the walk is sure to pass it, or when the list would
-    hold more vertices, r * c, than the budget has nodes. A set of at most
-    two edges is free of each family (a cancellative triple has three
-    edges; an expansion core of ell + 1 > r vertices lies in neither edge,
-    so it holds a vertex of each that is not in the other, an uncovered
-    pair), so the walk visits at least 1 + c + C(c, 2) sets."""
-    c = math.comb(n, r)
-    if max(1 + c + math.comb(c, 2), r * c) > WALK_NODE_BUDGET:
-        raise ResourceBudgetError.nodes("labelled walk", WALK_NODE_BUDGET)
+    """Oracle: the labelled DFS over every free edge set, which the tests
+    compare the class pass against. Extends by candidate edges of larger
+    index only and prunes on violation (freeness is monotone under edge
+    removal), so it yields every free edge set once, in preorder."""
     candidates = _candidates(n, r)
     masks = [m for _, m in candidates]
     total = len(candidates)
@@ -322,7 +312,6 @@ def _iter_free_edge_sets(
     edges: list[tuple[int, ...]] = []
     picked: list[int] = []  # candidate index of each edge in `edges`
     t = 0  # next candidate to try at the current depth
-    nodes = 1
     yield ()
     while True:
         if checker is not None:
@@ -333,9 +322,6 @@ def _iter_free_edge_sets(
                 checker.push(masks[t])
             edges.append(candidates[t][0])
             picked.append(t)
-            nodes += 1
-            if nodes > WALK_NODE_BUDGET:
-                raise ResourceBudgetError.nodes("labelled walk", WALK_NODE_BUDGET)
             yield tuple(edges)
             t += 1
         elif picked:
@@ -350,14 +336,17 @@ def _iter_free_edge_sets(
 
 def enumerate_free_classes(n: int, r: int, family: Optional[Family]) -> list[Hypergraph]:
     """The class representatives of `_free_classes`, in its order."""
-    return [h for h, _ in _free_classes(n, r, family)]
+    return [h for _, h, _ in _free_classes(n, r, family)]
 
 
-def _free_classes(n: int, r: int, family: Optional[Family]) -> list[tuple[Hypergraph, int]]:
-    """Each class representative with its |Aut|. Isomorph-free enumeration
-    by canonical augmentation (McKay, "Isomorph-free exhaustive
-    generation", 1998). A child of a class representative P is P + e for a
-    candidate edge e. Candidates in one orbit of Aut(P) give isomorphic children, so P tries only the least of
+def _free_classes(
+    n: int, r: int, family: Optional[Family]
+) -> list[tuple[bytes, Hypergraph, int]]:
+    """Each class as its canonical form, representative and |Aut|.
+    Isomorph-free enumeration by canonical augmentation (McKay,
+    "Isomorph-free exhaustive generation", 1998). A child of a class
+    representative P is P + e for a candidate edge e. Candidates in one
+    orbit of Aut(P) give isomorphic children, so P tries only the least of
     each orbit; Aut(P) is the search's automorphisms, which fix the isolated
     vertices, times their symmetric group, so that least candidate holds
     P's least isolated vertices. A free child C is kept only when e lies in
@@ -367,9 +356,9 @@ def _free_classes(n: int, r: int, family: Optional[Family]) -> list[tuple[Hyperg
     C's search labels least; a child whose e is not top-key is dropped
     before any search. Each level is sorted on its forms: the order is edge
     count, then canonical key. The representatives are the children kept,
-    not the first child of each class in scan order. |Aut| of a kept child
-    comes from the search that tested it, and the empty root's is n!.
-    Raises `ResourceBudgetError` rather than scan more than
+    not the first child of each class in scan order. The form and |Aut| of
+    a kept child come from the search that tested it; the empty root's
+    |Aut| is n!. Raises `ResourceBudgetError` rather than scan more than
     `ORDERLY_NODE_BUDGET` candidate edges, C(n, r) per class."""
     _check_shape(n, r)
     # Refuse before listing the candidates when the scans sure to come, or
@@ -384,11 +373,11 @@ def _free_classes(n: int, r: int, family: Optional[Family]) -> list[tuple[Hyperg
     candidates = _candidates(n, r)
     vertices = {m: e for e, m in candidates}
     nodes = 0
-    out: list[tuple[Hypergraph, int]] = []
-    level = [(b"", Hypergraph(r, n, ()), [], math.factorial(n))]
+    out: list[tuple[bytes, Hypergraph, int]] = []
+    level = [(_encode(r, n, ()), Hypergraph(r, n, ()), [], math.factorial(n))]
     checker = IncrementalFreeChecker(n, r, family) if family is not None else None
     while level:
-        out.extend((rep, order) for _, rep, _, order in level)
+        out.extend((form, rep, order) for form, rep, _, order in level)
         next_level: list[tuple[bytes, Hypergraph, list[list[int]], int]] = []
         for _, rep, generators, _ in level:
             nodes += c
@@ -445,15 +434,14 @@ def _edge_orbit(m: int, generators: list[list[int]], vertices: dict) -> set[int]
 
 def extremal_search(n: int, r: int, family: Family) -> ExtremalResult:
     """Exact extremal number with all extremal isomorphism classes, read off
-    the top level of `enumerate_free_classes` within its budget: forms come
-    sorted, and the example is the first representative. `count_searched`
-    is the labelled free-graph count, n!/|Aut(C)| summed over classes C."""
+    the top level of `_free_classes` within its budget: forms come sorted,
+    and the example is the first representative. `count_searched` is the
+    naive engine's labelled free-graph count."""
     classes = _free_classes(n, r, family)
-    top = [h for h, _ in classes if len(h) == len(classes[-1][0])]
-    forms = tuple(map(canonical_form, top))
-    labelled = sum(math.factorial(n) // order for _, order in classes)
-    return ExtremalResult(n, r, str(family), len(top[0]), forms, labelled,
-                          len(forms) == 1, top[0])
+    top = [(form, h) for form, h, _ in classes if len(h) == len(classes[-1][1])]
+    forms = tuple(form for form, _ in top)
+    return ExtremalResult(n, r, str(family), len(top[0][1]), forms,
+                          _stats("naive", classes).visited, len(forms) == 1, top[0][1])
 
 
 # The sweep's bound names: Theorem 1 is Kruskal-Katona for every r-graph,
@@ -494,13 +482,11 @@ def verify_bound_over_enumeration(
         for e, _ in _candidates(n, r)
     }
     bounds: dict[int, float] = {}  # the bound by shadow size
-    counts: Counter = Counter()  # counts[m] = labelled graphs with m edges
     violations: list[tuple[tuple[int, ...], ...]] = []
     min_slack = math.inf
     argmin: tuple[tuple[int, ...], ...] = ()
-    for h, order in classes:
+    for _, h, _ in classes:
         m = len(h)
-        counts[m] += math.factorial(n) // order
         if not m:
             continue
         shadow = 0
@@ -514,7 +500,7 @@ def verify_bound_over_enumeration(
         if slack < min_slack:
             min_slack = slack
             argmin = h.edges
-    stats = _stats("naive", counts)
+    stats = _stats("naive", classes)
     return SweepReport(
         n, r, str(family) if family is not None else "none", bound_kind,
         stats.visited, tuple(violations), min_slack, argmin, stats,

@@ -88,7 +88,9 @@ def partition_fit(
     carry into the next digit. Heuristic mode returns its labelling as an
     upper bound flagged non-optimal; exact mode hands it to branch-and-bound
     over vertex labelings as the incumbent to beat; any n is tried, and
-    `ResourceBudgetError` is raised past `FIT_NODE_BUDGET` nodes.
+    `ResourceBudgetError` is raised past `FIT_NODE_BUDGET` nodes. With
+    fewer parts than r no edge is transversal, so every labelling removes
+    all edges and exact mode keeps the heuristic's fit without a search.
     """
     if ell < 1 or cap < 0:
         raise ParameterError(f"need ell >= 1 and cap >= 0, got ell={ell}, cap={cap}")
@@ -97,7 +99,7 @@ def partition_fit(
     exact = mode == "exact"
     order = sorted(range(h.n), key=lambda v: (-h.degrees[v], v))
     labels, removed = _fit_heuristic(h, ell, cap, order, seed, 4 if exact else 20)
-    if exact:
+    if exact and ell >= h.r:
         labels, removed = _fit_branch_and_bound(h, ell, cap, order, labels, removed)
     return _fit_result(h, ell, labels, removed, optimal=exact)
 

@@ -331,18 +331,21 @@ class TestCommands:
     def test_verify_bound_walks_the_labelled_graphs_once(
             self, engine, visited, tmp_path, monkeypatch):
         """The sweep counts the labelled graphs over the classes and walks
-        none of them, so its counts stand in for the naive engine's."""
+        none of them, so its counts stand in for the naive engine's. Neither
+        engine walks, with the sweep or without it."""
         def walk(*args):
-            raise AssertionError("the sweep walked the labelled sets")
+            raise AssertionError("a product path walked the labelled sets")
 
         monkeypatch.setattr(extremal, "_iter_free_edge_sets", walk)
         out = tmp_path / "r.json"
-        assert run(["enumerate", "--n", "5", "--r", "3", "--family", "expansion",
-                    "--l", "3", "--engine", engine, "--verify-bound", "thm6",
-                    "--out", str(out)]) == EXIT_OK
+        argv = ["enumerate", "--n", "5", "--r", "3", "--family", "expansion",
+                "--l", "3", "--engine", engine, "--out", str(out)]
+        assert run(argv + ["--verify-bound", "thm6"]) == EXIT_OK
         enum, swept = load_report(out)["results"]
         assert (enum["engine"], enum["visited"], swept["visited"]) == (engine, visited, 141)
         assert "enumeration" not in swept
+        assert run(argv) == EXIT_OK
+        assert load_report(out)["results"] == [enum]
 
     def test_extremal(self, tmp_path):
         out = tmp_path / "r.json"
@@ -384,14 +387,14 @@ class TestExitCodes:
 
     def test_budget_exceeded(self, monkeypatch, capsys):
         argv = ["enumerate", "--n", "5", "--r", "3", "--family", "cancellative"]
-        visits = extremal.enumerate_free(5, 3, Cancellative()).visited
-        monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits)
+        scans = len(extremal.enumerate_free_classes(5, 3, Cancellative())) * 10
+        monkeypatch.setattr(extremal, "ORDERLY_NODE_BUDGET", scans)
         assert run(argv) == EXIT_OK
         capsys.readouterr()
-        monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits - 1)
+        monkeypatch.setattr(extremal, "ORDERLY_NODE_BUDGET", scans - 1)
         assert run(argv) == EXIT_BUDGET
         assert capsys.readouterr().err == (
-            f"error: labelled walk node budget exceeded ({visits - 1} nodes)\n")
+            f"error: orderly engine node budget exceeded ({scans - 1} nodes)\n")
 
     @pytest.mark.parametrize("command", ["check", "bound", "lemmas"])
     def test_expansion_requires_l(self, command, tmp_path, capsys):
@@ -654,7 +657,7 @@ def test_module_entry_point_exit_codes(argv, budget, code, tmp_path):
 
 @pytest.mark.parametrize("argv, search", [
     (["extremal", "--n", "10000", "--r", "3", "--family", "cancellative"], "orderly engine"),
-    (["enumerate", "--n", "60", "--r", "30"], "labelled walk"),
+    (["enumerate", "--n", "60", "--r", "30"], "orderly engine"),
     (["enumerate", "--n", "5000", "--r", "4999", "--verify-bound", "thm1"], "orderly engine"),
     (["enumerate", "--n", "1000", "--r", "998", "--engine", "orderly"], "orderly engine"),
     (["enumerate", "--n", "999", "--r", "999", "--engine", "orderly"], "canonical_form"),

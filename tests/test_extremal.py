@@ -248,27 +248,17 @@ class TestEnumeration:
         # every subset of the C(4,3) = 4 candidate edges
         assert enumerate_free(4, 3, None).visited == 16
 
-    def test_naive_budget(self, monkeypatch):
-        """The labelled walk counts the sets it visits, and the naive engine
-        stops on its budget."""
-        visits = enumerate_free(5, 3, Cancellative()).visited
-        monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits)
-        enumerate_free(5, 3, Cancellative())
-        monkeypatch.setattr(extremal, "WALK_NODE_BUDGET", visits - 1)
-        with pytest.raises(ResourceBudgetError) as caught:
-            enumerate_free(5, 3, Cancellative())
-        assert caught.value.partial == {"nodes": visits - 1}
-
     def test_orderly_budget(self, monkeypatch):
         """The orderly engine counts the candidate edges it scans: C(n, r)
-        per class, whatever the orbit pruning skips. Library calls, the
-        extremal search and the bound sweep among them, stop on the budget
-        as the engine does."""
+        per class, whatever the orbit pruning skips. Library calls, both
+        engines, the extremal search and the bound sweep among them, stop
+        on the budget as the class pass does."""
         family = Cancellative()
         scans = len(enumerate_free_classes(6, 3, family)) * math.comb(6, 3)
         assert scans == 600
         for search in (
             lambda: enumerate_free_classes(6, 3, family),
+            lambda: enumerate_free(6, 3, family),
             lambda: enumerate_free(6, 3, family, engine="orderly"),
             lambda: extremal_search(6, 3, family),
             lambda: verify_bound_over_enumeration(6, 3, family, "thm3"),
@@ -297,6 +287,21 @@ class TestEnumeration:
         graphs += [m + (e,) for m in matchings for e in edges if e not in m]
         for family in (Cancellative(), Expansion(r), Expansion(r + 1)):
             assert all(is_free(Hypergraph.build(r, n, g), family) for g in graphs), family
+
+    @pytest.mark.parametrize("n, r", [(6, 3), (7, 2), (6, 4), (7, 1)])
+    def test_labelled_counts_past_the_walk(self, n, r, monkeypatch):
+        """With no family every r-graph counts, so C(C(n, r), m) labelled
+        graphs have m edges: this checks each |Aut| the class pass gives."""
+        monkeypatch.setattr(extremal, "_iter_free_edge_sets", refuse_walk)
+        c = math.comb(n, r)
+        assert enumerate_free(n, r, None).counts_by_edges == tuple(
+            (m, math.comb(c, m)) for m in range(c + 1))
+
+    @pytest.mark.parametrize("n, r", [(6, 3), (7, 2), (6, 4), (7, 1)])
+    def test_class_counts_are_polyas(self, n, r, monkeypatch):
+        monkeypatch.setattr(extremal, "_iter_free_edge_sets", refuse_walk)
+        stats = enumerate_free(n, r, None, engine="orderly")
+        assert stats.counts_by_edges == tuple(enumerate(polya_class_counts(n, r)))
 
     def test_orderly_engine_visits_the_classes(self):
         reps = enumerate_free_classes(5, 3, Cancellative())
@@ -513,15 +518,16 @@ class TestExtremalSearch:
     def test_agrees_with_the_labelled_walk(self, n, r, family, monkeypatch):
         """The maximum over the labelled walk: its edge count, the forms of
         its largest sets and the number of sets it visits. The search reads
-        the class engine and never walks."""
+        the class pass, forms included, and never walks."""
         sets = list(_iter_free_edge_sets(n, r, family))
         best = max(map(len, sets))
         forms = {canonical_form(Hypergraph(r, n, e)) for e in sets if len(e) == best}
 
-        def walk(*args):
-            raise AssertionError("extremal_search walked the labelled sets")
+        def form(*args):
+            raise AssertionError("extremal_search computed a form again")
 
-        monkeypatch.setattr(extremal, "_iter_free_edge_sets", walk)
+        monkeypatch.setattr(extremal, "_iter_free_edge_sets", refuse_walk)
+        monkeypatch.setattr(extremal, "canonical_form", form)
         result = extremal_search(n, r, family)
         assert (result.max_edges, result.extremal_forms, result.count_searched) == (
             best, tuple(sorted(forms)), len(sets))
@@ -608,12 +614,22 @@ class TestBoundSweeps:
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     @pytest.mark.parametrize("n", range(6))
-    def test_enumeration_is_the_walks(self, n, r):
+    def test_enumeration_is_the_walks(self, n, r, monkeypatch):
         """The labelled counts by edge count, n!/|Aut| summed over the
-        classes, are the walk's, for each family."""
+        classes, are the walk's, and the class counts are those of the
+        walk's distinct forms, for each family. Neither engine nor the
+        sweep walks."""
         for family in (None, Cancellative(), Expansion(r + 1), Expansion(r + 2)):
-            report = verify_bound_over_enumeration(n, r, family, "thm1")
-            assert report.enumeration == enumerate_free(n, r, family), family
+            sets = list(_iter_free_edge_sets(n, r, family))
+            forms = {canonical_form(Hypergraph(r, n, e)): len(e) for e in sets}
+            with monkeypatch.context() as patch:
+                patch.setattr(extremal, "_iter_free_edge_sets", refuse_walk)
+                report = verify_bound_over_enumeration(n, r, family, "thm1")
+                naive = enumerate_free(n, r, family)
+                orderly = enumerate_free(n, r, family, engine="orderly")
+            assert report.enumeration == naive, family
+            assert dict(naive.counts_by_edges) == Counter(map(len, sets)), family
+            assert dict(orderly.counts_by_edges) == Counter(forms.values()), family
 
 
 def sweep_bound(kind, r, ell):
@@ -634,7 +650,41 @@ def walk_violation_forms(n, r):
 
 
 def refuse_walk(*args):
-    raise AssertionError("the sweep walked the labelled sets")
+    raise AssertionError("a product path walked the labelled sets")
+
+
+def polya_class_counts(n, r):
+    """Oracle: the classes of r-graphs on n vertices by edge count, by
+    Polya's theorem. Entry m is the x^m coefficient of (1/n!) times the sum
+    over permutations s of n of the product, over the cycles c of s on the
+    r-sets, of (1 + x^|c|). Permutations of one cycle type give the same
+    product, and a type with m_k cycles of length k has n!/z of them,
+    z = prod k^m_k m_k!, so the sum runs over the partitions of n."""
+    def partitions(rest, most):
+        if not rest:
+            yield ()
+        for k in range(min(rest, most), 0, -1):
+            for tail in partitions(rest - k, k):
+                yield (k,) + tail
+
+    total = [0] * (math.comb(n, r) + 1)
+    for shape in partitions(n, n):
+        image = []  # a permutation of this cycle type
+        for k in shape:
+            image += [len(image) + (i + 1) % k for i in range(k)]
+        z = math.prod(k ** m * math.factorial(m) for k, m in Counter(shape).items())
+        product, seen = [1], set()
+        for s in itertools.combinations(range(n), r):
+            length = 0
+            while s not in seen:
+                seen.add(s)
+                length += 1
+                s = tuple(sorted(image[v] for v in s))
+            if length:  # multiply by 1 + x^length
+                product = [a + b for a, b in zip(product + [0] * length, [0] * length + product)]
+        for m, coefficient in enumerate(product):
+            total[m] += math.factorial(n) // z * coefficient
+    return [t // math.factorial(n) for t in total]
 
 
 class TestRandomFree:

@@ -162,6 +162,17 @@ class TestPartitionFit:
     def test_complete_needs_removals(self, k4):
         fit = partition_fit(k4, 3, 4)
         assert fit.removed == brute_force_partition_fit(k4, 3, 4) == 2
+        # with fewer parts than r no edge is transversal
+        assert partition_fit(k4, 2, 4).removed == brute_force_partition_fit(k4, 2, 4) == 4
+
+    def test_fewer_parts_than_r_need_no_search(self):
+        """Every labelling of a 3-graph into 2 parts removes every edge, so
+        the exact fit is the heuristic's: on 16 vertices and 160 edges the
+        branch-and-bound would pass its node budget to prove it."""
+        rng = random.Random(16)
+        h = Hypergraph.build(3, 16, rng.sample(list(itertools.combinations(range(16), 3)), 160))
+        fit = partition_fit(h, 2, 11)
+        assert fit.removed == 160 and fit.optimal
 
     def test_cap_forces_vertices_out(self, t6):
         fit = partition_fit(t6, 3, 5)
