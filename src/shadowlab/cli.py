@@ -2,7 +2,7 @@
 
 Exit code contract (stable API): 0 all checks passed, 1 a verified
 inequality or certificate failed, 2 usage or parse error, 3 resource budget
-exceeded. A report is written on exits 0 and 1.
+exceeded or memory exhausted. A report is written on exits 0 and 1.
 
 Edge-list files are 0-based even though the literature writes [n] 1-based;
 conversion is the parser's job.
@@ -302,9 +302,8 @@ def _cmd_lemmas(args) -> tuple[int, Optional[str], list]:
 
 def _cmd_enumerate(args) -> tuple[int, Optional[str], list]:
     """The sweep runs first, so a bad bound fails before any enumeration.
-    Both engines read the class pass, and the sweep's stats are the naive
-    engine's labelled counts over it, so only the orderly engine reads the
-    pass again."""
+    Both engines read the class pass, and the sweep carries both engines'
+    counts over its own pass, so each run reads the pass once."""
     fam = _family(args.family, args.l, args.r)
     if not args.verify_bound:
         stats = enumerate_free(args.n, args.r, fam, engine=args.engine)
@@ -313,9 +312,7 @@ def _cmd_enumerate(args) -> tuple[int, Optional[str], list]:
         args.n, args.r, fam, args.verify_bound, args.l
     )
     swept = _jsonable(sweep)
-    stats = swept.pop("enumeration")
-    if args.engine != "naive":
-        stats = _jsonable(enumerate_free(args.n, args.r, fam, engine=args.engine))
+    stats = swept.pop("enumeration")[args.engine]
     code = EXIT_CHECK_FAILED if sweep.violations else EXIT_OK
     return code, None, [{"type": "enumeration", **stats}, {"type": "bound-sweep", **swept}]
 
@@ -395,6 +392,9 @@ def run(argv: list[str]) -> int:
         return code
     except ResourceBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_BUDGET
+    except MemoryError:  # its message is usually empty
+        sys.stderr.write("error: out of memory\n")
         return EXIT_BUDGET
     except (ShadowlabError, OSError, UnicodeDecodeError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -64,7 +64,7 @@ class SweepReport:
     violations: tuple[tuple[tuple[int, ...], ...], ...]
     min_slack: float
     argmin_edges: tuple[tuple[int, ...], ...]
-    enumeration: EnumerationStats  # the naive engine's labelled counts
+    enumeration: dict[str, EnumerationStats]  # both engines' counts over one pass
 
 
 def _refine(colours: list[int], cells: int, goal: int, edges, incidence, weight) -> int:
@@ -465,22 +465,17 @@ def verify_bound_over_enumeration(
     bound reads only |H| and |∂H|, so the sweep visits each class of
     `_free_classes` once and counts it n!/|Aut| times, which gives the
     naive engine's labelled counts. `argmin_edges` is the first class in
-    the engine's order at `min_slack`. A shadow is the OR of its edges'
-    bits, one per (r-1)-set, and its size is its bit count."""
+    the engine's order at `min_slack`. `enumeration` holds both engines'
+    counts over that one pass."""
     _check_shape(n, r)
     if bound_kind not in _SWEEP_BOUNDS:
         raise ParameterError(f"unknown bound kind {bound_kind!r}")
     if bound_kind == "thm6" and ell is None:
         raise ParameterError("thm6 sweep needs ell")
     bound_family = _SWEEP_BOUNDS[bound_kind](ell)
-    if (r - 1) * math.comb(n, r - 1) > ORDERLY_NODE_BUDGET:  # `ids` holds these vertices
+    if (r - 1) * math.comb(n, r - 1) > ORDERLY_NODE_BUDGET:  # a shadow may hold every (r-1)-set
         raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
     classes = _free_classes(n, r, family)
-    ids = {s: i for i, s in enumerate(itertools.combinations(range(n), r - 1))}
-    shadow_bits = {
-        e: sum(1 << ids[s] for s in itertools.combinations(e, r - 1))
-        for e, _ in _candidates(n, r)
-    }
     bounds: dict[int, float] = {}  # the bound by shadow size
     violations: list[tuple[tuple[int, ...], ...]] = []
     min_slack = math.inf
@@ -489,10 +484,8 @@ def verify_bound_over_enumeration(
         m = len(h)
         if not m:
             continue
-        shadow = 0
-        for e in h.edges:
-            shadow |= shadow_bits[e]
-        if (s := shadow.bit_count()) not in bounds:
+        s = len({f for e in h.edges for f in itertools.combinations(e, r - 1)})
+        if s not in bounds:
             bounds[s] = shadow_bound(bound_family, s, r)[1]
         slack = bounds[s] - m
         if not at_least(slack, 0.0):
@@ -500,10 +493,10 @@ def verify_bound_over_enumeration(
         if slack < min_slack:
             min_slack = slack
             argmin = h.edges
-    stats = _stats("naive", classes)
+    stats = {engine: _stats(engine, classes) for engine in ("naive", "orderly")}
     return SweepReport(
         n, r, str(family) if family is not None else "none", bound_kind,
-        stats.visited, tuple(violations), min_slack, argmin, stats,
+        stats["naive"].visited, tuple(violations), min_slack, argmin, stats,
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlab import Cancellative, Hypergraph, complete, extremal, shadow, turan
+from shadowlab import Cancellative, Expansion, Hypergraph, cli, complete, extremal, shadow, turan
 from shadowlab.bounds import at_least, cancellative_bound
 from shadowlab.cli import (
     EXIT_BUDGET,
@@ -331,7 +331,7 @@ class TestCommands:
     def test_verify_bound_walks_the_labelled_graphs_once(
             self, engine, visited, tmp_path, monkeypatch):
         """The sweep counts the labelled graphs over the classes and walks
-        none of them, so its counts stand in for the naive engine's. Neither
+        none of them, so its counts stand in for either engine's. Neither
         engine walks, with the sweep or without it."""
         def walk(*args):
             raise AssertionError("a product path walked the labelled sets")
@@ -346,6 +346,19 @@ class TestCommands:
         assert "enumeration" not in swept
         assert run(argv) == EXIT_OK
         assert load_report(out)["results"] == [enum]
+
+    @pytest.mark.parametrize("bound", [None, "thm6"])
+    @pytest.mark.parametrize("engine", ["naive", "orderly"])
+    def test_each_enumerate_run_reads_the_class_pass_once(
+            self, engine, bound, tmp_path, monkeypatch):
+        passes = []
+        free_classes = extremal._free_classes
+        monkeypatch.setattr(extremal, "_free_classes",
+                            lambda *args: passes.append(args) or free_classes(*args))
+        argv = ["enumerate", "--n", "5", "--r", "3", "--family", "expansion",
+                "--l", "3", "--engine", engine, "--out", str(tmp_path / "r.json")]
+        assert run(argv + (["--verify-bound", bound] if bound else [])) == EXIT_OK
+        assert passes == [(5, 3, Expansion(3))]
 
     def test_extremal(self, tmp_path):
         out = tmp_path / "r.json"
@@ -395,6 +408,15 @@ class TestExitCodes:
         assert run(argv) == EXIT_BUDGET
         assert capsys.readouterr().err == (
             f"error: orderly engine node budget exceeded ({scans - 1} nodes)\n")
+
+    def test_memory_exhausted_exits_3(self, monkeypatch, capsys):
+        def exhaust(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "extremal_search", exhaust)
+        argv = ["extremal", "--n", "5", "--r", "3", "--family", "cancellative"]
+        assert run(argv) == EXIT_BUDGET
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
     @pytest.mark.parametrize("command", ["check", "bound", "lemmas"])
     def test_expansion_requires_l(self, command, tmp_path, capsys):

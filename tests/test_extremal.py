@@ -627,7 +627,7 @@ class TestBoundSweeps:
                 report = verify_bound_over_enumeration(n, r, family, "thm1")
                 naive = enumerate_free(n, r, family)
                 orderly = enumerate_free(n, r, family, engine="orderly")
-            assert report.enumeration == naive, family
+            assert report.enumeration == {"naive": naive, "orderly": orderly}, family
             assert dict(naive.counts_by_edges) == Counter(map(len, sets)), family
             assert dict(orderly.counts_by_edges) == Counter(forms.values()), family
 
