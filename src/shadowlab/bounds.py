@@ -2,19 +2,19 @@
 and clique-expansion shadow bounds, and the inequality batteries used by the
 stability arguments.
 
-All bound arithmetic is double precision, and every verdict (a bound's
-`holds` and `tight`, the inequality batteries, the stability claim flags, the
-certificate's hypothesis and removal tests, the sweep's violations) compares
-through `at_most` and `at_least`, the one place the 1e-9 tolerance is
-applied. The real binomial C(x, k) is evaluated as a falling factorial,
-never through the Gamma function. Inequality checks recompute every quantity
-from the hypergraph on each call.
+All bound arithmetic is double precision. Every verdict compares through
+`at_most`, the one place the 1e-9 tolerance is applied, at six sites: the
+`Inequality` record (the lemma batteries and the stability claim flags),
+`BoundReport.holds` and `tight`, the sweep's violation test, and the
+certificate's hypothesis and removal tests. The real binomial C(x, k) is
+evaluated as a falling factorial, never through the Gamma function. Inequality
+checks recompute every quantity from the hypergraph on each call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError, EmptyInputError
@@ -28,11 +28,6 @@ _BISECT_TOL = 1e-12
 def at_most(a: float, b: float) -> bool:
     """The verdict a <= b, up to TOLERANCE."""
     return a <= b + TOLERANCE
-
-
-def at_least(a: float, b: float) -> bool:
-    """The verdict a >= b, up to TOLERANCE."""
-    return a >= b - TOLERANCE
 
 
 def falling_binomial(x: float, k: int) -> float:
@@ -77,15 +72,20 @@ class BoundReport:
 
     @property
     def holds(self) -> bool:
-        return at_least(self.slack, 0.0)
+        return at_most(0.0, self.slack)
 
 
 @dataclass(frozen=True)
 class Inequality:
+    """The claim lhs <= rhs, with its verdict derived from the two sides."""
+
     identifier: str
     lhs: float
     rhs: float
-    holds: bool
+    holds: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "holds", at_most(self.lhs, self.rhs))
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,6 @@ class InequalityReport:
 
     def get(self, identifier: str) -> Inequality:
         return next(i for i in self.items if i.identifier == identifier)
-
-
-def _ineq(identifier: str, lhs: float, rhs: float) -> Inequality:
-    return Inequality(identifier, lhs, rhs, at_most(lhs, rhs))
 
 
 def cancellative_bound(shadow_size: float, r: int) -> tuple[float, float]:
@@ -205,10 +201,10 @@ def lemma9_check(h: Hypergraph) -> InequalityReport:
     exp = 1.0 / (r - 1)
     return InequalityReport(
         (
-            _ineq("L9.1", size, prefix * inner1 ** exp),
-            _ineq("L9.2", size, prefix * inner2 ** exp),
-            _ineq("L9.3", size, prefix * inner3 ** exp),
-            _ineq("L9.4", lhs4, rhs4),
+            Inequality("L9.1", size, prefix * inner1 ** exp),
+            Inequality("L9.2", size, prefix * inner2 ** exp),
+            Inequality("L9.3", size, prefix * inner3 ** exp),
+            Inequality("L9.4", lhs4, rhs4),
         )
     )
 
@@ -240,7 +236,7 @@ def lemma14_check(h: Hypergraph, ell: int) -> InequalityReport:
     )
     return InequalityReport(
         (
-            _ineq("L14.1", float(len(h)), rhs1),
-            _ineq("L14.2", float(sum_sigma), rhs2),
+            Inequality("L14.1", float(len(h)), rhs1),
+            Inequality("L14.2", float(sum_sigma), rhs2),
         )
     )

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .bounds import at_least, shadow_bound
+from .bounds import at_most, shadow_bound
 from .errors import ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, IncrementalFreeChecker
 from .hypercore import Hypergraph, mask_to_tuple
@@ -488,7 +488,7 @@ def verify_bound_over_enumeration(
         if s not in bounds:
             bounds[s] = shadow_bound(bound_family, s, r)[1]
         slack = bounds[s] - m
-        if not at_least(slack, 0.0):
+        if not at_most(0.0, slack):
             violations.append(h.edges)
         if slack < min_slack:
             min_slack = slack

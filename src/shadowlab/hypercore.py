@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, count, islice, repeat
-from operator import ge, lt, ne
+from operator import ge, lt, ne, not_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeError, EmptyInputError, ParameterError
@@ -50,6 +50,15 @@ def _columns(edges: Sequence[tuple[int, ...]], r: int) -> list[list[int]]:
     return [flat[i::r] for i in range(r)] if flat else []
 
 
+def _ints(values: Iterable) -> bool:
+    """Whether the values sum to an int: a float, a string, None or another
+    number type among them makes the sum leave the int type or raise."""
+    try:
+        return type(sum(values)) is int
+    except TypeError:
+        return False
+
+
 def _increasing(columns: list[list[int]]) -> bool:
     """Whether the vertices of every edge strictly increase, by columns."""
     return all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
@@ -69,8 +78,9 @@ class Hypergraph:
     checks each of them against `build`.
 
     `build` is the one validator of an edge list from outside. Each edge
-    must have r vertices (arity), no repeated vertex, every vertex in
-    0..n-1 (range), and must not equal an earlier edge (duplicate). The
+    must have r vertices (arity), int vertices (type; a bool is an int, so
+    True and False are vertices 1 and 0), no repeated vertex, every vertex
+    in 0..n-1 (range), and must not equal an earlier edge (duplicate). The
     rules are checked in that order, each over the whole list at once; a
     rule looks only at the edges before the first fault found so far, so
     the `EdgeError` raised names the first bad edge, by its index, and the
@@ -98,6 +108,11 @@ class Hypergraph:
             error = f"expected {r} vertices, got {lengths[end]}"
             del edges[end:]
         columns = _columns(edges, r)
+        if not _ints(map(sum, columns)):
+            end = _first(map(not_, map(_ints, edges)), end)
+            error = f"non-integer vertex in edge {edges[end]}"
+            del edges[end:]
+            columns = _columns(edges, r)
         if not _increasing(columns):
             edges = list(map(tuple, map(sorted, edges)))
             columns = _columns(edges, r)

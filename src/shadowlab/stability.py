@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .bounds import Inequality, InequalityReport, at_least, at_most, shadow_bound
+from .bounds import Inequality, InequalityReport, at_most, shadow_bound
 from .errors import EmptyInputError, ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, require_free
 from .hypercore import Hypergraph, shadow, sigma, z_value
@@ -316,11 +316,11 @@ def core_extract_cancellative(h: Hypergraph, eps: float) -> CoreExtraction:
     u_low = (1 - 35 * r ** 4 * rt) * u_ref
     h_u_low = (1 - 33 * r ** 4 * rt) * (p / r) ** (r / (r - 1))
     flags = InequalityReport((
-        Inequality("g-size-lower", g_low, g, at_least(g, g_low)),
-        Inequality("min-degree-on-core", deg_low, min_deg, at_least(min_deg, deg_low)),
-        Inequality("core-size-upper", u, u_high, at_most(u, u_high)),
-        Inequality("core-size-lower", u_low, u, at_least(u, u_low)),
-        Inequality("induced-size-lower", h_u_low, h_u_size, at_least(h_u_size, h_u_low)),
+        Inequality("g-size-lower", g_low, g),
+        Inequality("min-degree-on-core", deg_low, min_deg),
+        Inequality("core-size-upper", u, u_high),
+        Inequality("core-size-lower", u_low, u),
+        Inequality("induced-size-lower", h_u_low, h_u_size),
     ))
     return replace(ext, flags=flags)
 
@@ -350,12 +350,12 @@ def core_extract_expansion(h: Hypergraph, ell: int, eps: float) -> CoreExtractio
     z_low = (1 - ell * r * rt) * density * p
     z_high = (1 + ell * r * rt) * density * p
     flags = InequalityReport((
-        Inequality("g-size-lower", g_low, g, at_least(g, g_low)),
-        Inequality("min-degree-on-core", deg_low, min_deg, at_least(min_deg, deg_low)),
-        Inequality("core-size-upper", u, u_high, at_most(u, u_high)),
-        Inequality("induced-size-lower", h_u_low, h_u_size, at_least(h_u_size, h_u_low)),
-        Inequality("z-window-lower", z_low, z, at_least(z, z_low)),
-        Inequality("z-window-upper", z, z_high, at_most(z, z_high)),
+        Inequality("g-size-lower", g_low, g),
+        Inequality("min-degree-on-core", deg_low, min_deg),
+        Inequality("core-size-upper", u, u_high),
+        Inequality("induced-size-lower", h_u_low, h_u_size),
+        Inequality("z-window-lower", z_low, z),
+        Inequality("z-window-upper", z, z_high),
     ))
     return replace(ext, stats={**ext.stats, "z": z}, flags=flags)
 
@@ -393,7 +393,7 @@ def stability_certificate(
             "induction-variant": 35 * r ** 4 * eps ** 0.25,
         },
     )
-    if not at_least(len(h), (1 - eps) * bound):
+    if not at_most((1 - eps) * bound, len(h)):
         return cert
     if isinstance(family, Cancellative):
         core = core_extract_cancellative(h, eps)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from shadowlab import Cancellative, Expansion, Hypergraph, complete, shadow, turan, turan_padded
 from shadowlab.bounds import (
     TOLERANCE,
+    Inequality,
+    at_most,
     bound_report_for,
     cancellative_bound,
     cancellative_report,
@@ -67,6 +69,47 @@ class TestKKBound:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             kk_bound(Hypergraph.build(3, 3, []))
+
+
+# Floats at the verdict's edges: the infinities, nan, the tolerance itself
+# and its neighbours within 1e-12, and ordinary magnitudes up to 1e6.
+verdict_floats = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, TOLERANCE, -TOLERANCE]),
+    st.floats(-1e-12, 1e-12).map(lambda d: TOLERANCE + d),
+    st.floats(-1e-12, 1e-12).map(lambda d: -TOLERANCE + d),
+    st.floats(-1e6, 1e6),
+)
+
+
+class TestVerdict:
+    @settings(max_examples=300, deadline=None)
+    @given(verdict_floats, verdict_floats)
+    def test_inequality_derives_holds_from_its_sides(self, a, b):
+        assert Inequality("claim", a, b).holds == at_most(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(verdict_floats)
+    def test_nonnegative_slack_reads_the_tolerance_edge_exactly(self, s):
+        assert at_most(0.0, s) == (s >= -TOLERANCE)
+
+    def test_inequality_takes_no_verdict(self):
+        with pytest.raises(TypeError):
+            Inequality("claim", 1.0, 2.0, True)
+
+
+# K_90^3 is exactly tight for Kruskal-Katona, but the float bound reads
+# C(90,3) - 1.004e-9, just past the tolerance.
+FLOAT_KK_DEFECT = "ROADMAP item 1: the float KK bound misses the exact tight point K_90^3"
+
+
+class TestTightPointVerdicts:
+    @pytest.mark.xfail(strict=True, reason=FLOAT_KK_DEFECT)
+    def test_complete_90_holds(self):
+        assert bound_report_for(complete(90, 3), None).holds
+
+    @pytest.mark.xfail(strict=True, reason=FLOAT_KK_DEFECT)
+    def test_complete_90_is_tight(self):
+        assert bound_report_for(complete(90, 3), None).tight
 
 
 class TestShadowBounds:

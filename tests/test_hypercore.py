@@ -72,6 +72,8 @@ class TestBuild:
         r = data.draw(st.integers(1, 3), label="r")
         n = data.draw(st.integers(0, 6), label="n")
         vertex = st.integers(-1, n)
+        if data.draw(st.booleans(), label="non-int vertices"):
+            vertex |= st.sampled_from([0.5, 2.0, "1", None, True, False])
         edge = st.one_of(
             st.lists(vertex, min_size=r, max_size=r),
             st.lists(vertex, min_size=max(r - 1, 1), max_size=r + 1),
@@ -100,6 +102,11 @@ class TestBuild:
          "duplicate edge (0, 1, 2)"),
         ([(0, 1, 2), (0, 1, 5), (1, 2, 3), (1, 1, 2), (0, 1)], 1, "vertex 5 outside 0..4"),
         ([(0, 1, 2), (0, 1), (0, 0, 1), (0, 1, 9), (2, 1, 0)], 1, "expected 3 vertices"),
+        ([(0, 1, 2), (0.5, 1, 2)], 1, "non-integer vertex in edge (0.5, 1, 2)"),
+        ([(0, 1, 2), (1, 2, 3), ("0", 1, 2)], 2, "non-integer vertex in edge ('0', 1, 2)"),
+        ([(0, 1, 2), (4, 3, 2.0), (1, 1, 9), (0, 1)], 1, "non-integer vertex in edge (4, 3, 2.0)"),
+        ([(0, 1, 2), (0, 1, 9), (None, 1, 2)], 1, "vertex 9 outside 0..4"),
+        ([(0, 1, 2), (0, "1")], 1, "expected 3 vertices, got 2"),
     ])
     def test_error_carries_the_first_bad_edge(self, edges, index, words):
         """Each rule names its edge by index, and the earlier of two faults
@@ -126,6 +133,14 @@ class TestBuild:
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
         assert proc.returncode == 0
+
+    def test_bool_vertices_are_the_ints_0_and_1(self):
+        """A bool is an int, so the type rule accepts it as vertex 0 or 1."""
+        h = Hypergraph.build(3, 5, [(2, True, 3), (False, 4, 2)])
+        assert h == Hypergraph.build(3, 5, [(1, 2, 3), (0, 2, 4)])
+        assert h.edge_masks == (0b10101, 0b1110) and h.degrees == (1, 1, 2, 1, 1)
+        with pytest.raises(EdgeError, match=re.escape("repeated vertex in edge (0, False, 1)")):
+            Hypergraph.build(3, 5, [(0, 1, False)])
 
     def test_lists_of_lists_are_accepted(self):
         h = Hypergraph.build(3, 5, [[4, 3, 2], [0, 1, 2]])
