@@ -1,6 +1,7 @@
 """Numeric bounds: real-binomial Kruskal-Katona inversion, the cancellative
 and clique-expansion shadow bounds, and the inequality batteries used by the
-stability arguments.
+stability arguments. The cancellative bound is the clique-expansion bound at
+ell = r, so `expansion_bound` is the one formula that evaluates both.
 
 All bound arithmetic is double precision. Every verdict compares through
 `at_most`, the one place the 1e-9 tolerance is applied, at six sites: the
@@ -100,16 +101,6 @@ class InequalityReport:
         return next(i for i in self.items if i.identifier == identifier)
 
 
-def cancellative_bound(shadow_size: float, r: int) -> tuple[float, float]:
-    """x and the bound (x/r)^r from |shadow| = x^(r-1) / r^(r-2)."""
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
-    if shadow_size <= 0:
-        raise DomainError(f"shadow size must be positive, got {shadow_size}")
-    x = (r ** (r - 2) * shadow_size) ** (1.0 / (r - 1))
-    return x, (x / r) ** r
-
-
 def expansion_bound(shadow_size: float, ell: int, r: int) -> tuple[float, float]:
     """x and the bound C(l, r) (x/l)^r from |shadow| = C(l, r-1) (x/l)^(r-1)."""
     if r < 2:
@@ -132,9 +123,10 @@ def shadow_bound(
     if family is None:
         x = solve_binomial_x(shadow_size, r - 1)
         return x, falling_binomial(x, r)
-    if isinstance(family, Cancellative):
-        return cancellative_bound(shadow_size, r)
-    return expansion_bound(shadow_size, family.ell, r)
+    # Theorem 3's bound is Theorem 6's at ell = r: C(r, r-1) (x/r)^(r-1) is
+    # x^(r-1) / r^(r-2), and C(r, r) (x/r)^r is (x/r)^r.
+    ell = r if isinstance(family, Cancellative) else family.ell
+    return expansion_bound(shadow_size, ell, r)
 
 
 def bound_report_for(h: Hypergraph, family: Optional[Family]) -> BoundReport:
@@ -196,7 +188,7 @@ def lemma9_check(h: Hypergraph) -> InequalityReport:
         for v in range(h.n)
         if h.degrees[v] > 0
     ) / (r * (r - 1))
-    rhs4 = (p / r) ** (r / (r - 1))
+    rhs4 = shadow_bound(Cancellative(), p, r)[1]
 
     exp = 1.0 / (r - 1)
     return InequalityReport(

@@ -365,13 +365,14 @@ def _cmd_revalidate(args) -> int:
     except SystemExit:
         raise ParameterError(f"recorded command {command} does not parse")
     rerun_args.out = None
-    _, _, results = _HANDLERS[rerun_args.subcommand](rerun_args)
-    fresh = _jsonable(results)
-    if fresh == report.get("results"):
+    _, digest, results = _HANDLERS[rerun_args.subcommand](rerun_args)
+    fresh = {"input_digest": digest, "results": _jsonable(results)}
+    recorded = {key: report.get(key) for key in fresh}
+    if fresh == recorded:
         sys.stdout.write(json.dumps({"revalidate": "identical"}) + "\n")
         return EXIT_OK
     sys.stdout.write(json.dumps(
-        {"revalidate": "diff", "recomputed": fresh, "recorded": report.get("results")},
+        {"revalidate": "diff", "recomputed": fresh, "recorded": recorded},
         sort_keys=True, indent=2) + "\n")
     return EXIT_CHECK_FAILED
 

@@ -472,6 +472,8 @@ def verify_bound_over_enumeration(
         raise ParameterError(f"unknown bound kind {bound_kind!r}")
     if bound_kind == "thm6" and ell is None:
         raise ParameterError("thm6 sweep needs ell")
+    if r < 2 or bound_kind == "thm6" and ell < r:
+        raise ParameterError(f"a bound sweep needs r >= 2 and ell >= r, got r={r}, ell={ell}")
     bound_family = _SWEEP_BOUNDS[bound_kind](ell)
     if (r - 1) * math.comb(n, r - 1) > ORDERLY_NODE_BUDGET:  # a shadow may hold every (r-1)-set
         raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)

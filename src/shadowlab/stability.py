@@ -308,13 +308,13 @@ def core_extract_cancellative(h: Hypergraph, eps: float) -> CoreExtraction:
     )
     r = h.r
     rt = math.sqrt(eps)
-    u_ref = r ** ((r - 2) / (r - 1)) * p ** (1 / (r - 1))
+    x, bound = shadow_bound(Cancellative(), p, r)
     g, u = len(ext.members), len(ext.core)
     g_low = (1 - 8 * r ** 2 * rt) * p
     deg_low = (1 / r - 3 * r ** 2 * rt) * p
-    u_high = (1 + 6 * r ** 3 * rt) * u_ref
-    u_low = (1 - 35 * r ** 4 * rt) * u_ref
-    h_u_low = (1 - 33 * r ** 4 * rt) * (p / r) ** (r / (r - 1))
+    u_high = (1 + 6 * r ** 3 * rt) * x
+    u_low = (1 - 35 * r ** 4 * rt) * x
+    h_u_low = (1 - 33 * r ** 4 * rt) * bound
     flags = InequalityReport((
         Inequality("g-size-lower", g_low, g),
         Inequality("min-degree-on-core", deg_low, min_deg),
@@ -337,16 +337,12 @@ def core_extract_expansion(h: Hypergraph, ell: int, eps: float) -> CoreExtractio
     density = (ell - r + 1) / ell
     rt = math.sqrt(eps)
     z = float(z_value(h, ell).z)
-    u_ref = ell * (p / math.comb(ell, r - 1)) ** (1 / (r - 1))
+    x, bound = shadow_bound(Expansion(ell), p, r)
     g, u = len(ext.members), len(ext.core)
     g_low = (1 - ell ** 2 * r * q) * p
     deg_low = (1 - 2 * q) * density * p
-    u_high = (1 + 4 * q) * u_ref
-    h_u_low = (
-        (1 - 9 * ell ** 3 * r ** 2 * q)
-        * math.comb(ell, r)
-        * (p / math.comb(ell, r - 1)) ** (r / (r - 1))
-    )
+    u_high = (1 + 4 * q) * x
+    h_u_low = (1 - 9 * ell ** 3 * r ** 2 * q) * bound
     z_low = (1 - ell * r * rt) * density * p
     z_high = (1 + ell * r * rt) * density * p
     flags = InequalityReport((

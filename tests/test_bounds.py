@@ -12,7 +12,6 @@ from shadowlab.bounds import (
     Inequality,
     at_most,
     bound_report_for,
-    cancellative_bound,
     cancellative_report,
     expansion_bound,
     expansion_report,
@@ -20,6 +19,7 @@ from shadowlab.bounds import (
     kk_bound,
     lemma9_check,
     lemma14_check,
+    shadow_bound,
     solve_binomial_x,
 )
 from shadowlab.errors import DomainError, EmptyInputError, PreconditionError
@@ -97,34 +97,45 @@ class TestVerdict:
             Inequality("claim", 1.0, 2.0, True)
 
 
-# K_90^3 is exactly tight for Kruskal-Katona, but the float bound reads
-# C(90,3) - 1.004e-9, just past the tolerance.
+# K_90^3 and K_120^3 are exactly tight for Kruskal-Katona, but the float
+# bound reads C(90,3) - 1.004e-9 and C(120,3) - 1.63e-9, just past the
+# tolerance.
 FLOAT_KK_DEFECT = "ROADMAP item 1: the float KK bound misses the exact tight point K_90^3"
 
 
+@pytest.mark.parametrize("n", [90, 120])
 class TestTightPointVerdicts:
     @pytest.mark.xfail(strict=True, reason=FLOAT_KK_DEFECT)
-    def test_complete_90_holds(self):
-        assert bound_report_for(complete(90, 3), None).holds
+    def test_complete_holds(self, n):
+        assert bound_report_for(complete(n, 3), None).holds
 
     @pytest.mark.xfail(strict=True, reason=FLOAT_KK_DEFECT)
-    def test_complete_90_is_tight(self):
-        assert bound_report_for(complete(90, 3), None).tight
+    def test_complete_is_tight(self, n):
+        assert bound_report_for(complete(n, 3), None).tight
 
 
 class TestShadowBounds:
     def test_cancellative_turan_point(self):
-        x, bound = cancellative_bound(12, 3)
+        x, bound = shadow_bound(Cancellative(), 12, 3)
         assert x == pytest.approx(6, abs=1e-9)
         assert bound == pytest.approx(8, abs=1e-9)
 
     def test_cancellative_single_edge_point(self):
-        x, bound = cancellative_bound(3, 3)
+        x, bound = shadow_bound(Cancellative(), 3, 3)
         assert (x, bound) == (pytest.approx(3), pytest.approx(1))
 
     def test_cancellative_closed_form(self):
-        _, bound = cancellative_bound(27, 4)
+        _, bound = shadow_bound(Cancellative(), 27, 4)
         assert bound == pytest.approx((27 / 4) ** (4 / 3), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 10 ** 6))
+    def test_cancellative_meets_theorem_3_closed_forms(self, r, s):
+        # Theorem 3 states the bound as x^(r-1) = r^(r-2) s and (x/r)^r;
+        # shadow_bound evaluates it through the expansion formula at ell = r.
+        x, bound = shadow_bound(Cancellative(), s, r)
+        assert x ** (r - 1) == pytest.approx(r ** (r - 2) * s, rel=1e-12)
+        assert bound == pytest.approx((x / r) ** r, rel=1e-12)
 
     def test_expansion_points(self):
         assert expansion_bound(12, 3, 3) == (pytest.approx(6), pytest.approx(8))
@@ -136,12 +147,12 @@ class TestShadowBounds:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            cancellative_bound(0, 3)
+            shadow_bound(Cancellative(), 0, 3)
         with pytest.raises(DomainError):
             expansion_bound(5, 2, 3)
         for r in (0, 1):
             with pytest.raises(DomainError):
-                cancellative_bound(5, r)
+                shadow_bound(Cancellative(), 5, r)
             with pytest.raises(DomainError):
                 expansion_bound(5, 3, r)
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowlab import Cancellative, Expansion, Hypergraph, cli, complete, extremal, shadow, turan
-from shadowlab.bounds import at_most, cancellative_bound
+from shadowlab.bounds import at_most, shadow_bound
 from shadowlab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -317,11 +317,12 @@ class TestCommands:
         assert result["all_hold"] is True
         assert len(result["items"]) == 4
 
+    @pytest.mark.parametrize("n", [90, 120])
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the float KK bound misses "
                        "the exact tight point K_90^3")
-    def test_kk_bound_passes_at_complete_90(self, tmp_path):
-        hg = tmp_path / "k90.hg"
-        hg.write_text(serialize(complete(90, 3)))
+    def test_kk_bound_passes_at_complete(self, n, tmp_path):
+        hg = tmp_path / "k.hg"
+        hg.write_text(serialize(complete(n, 3)))
         assert run(["bound", "--input", str(hg), "--family", "kk",
                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
 
@@ -514,10 +515,13 @@ class TestExitCodes:
          "--eps", "nan", "--delta", "0.05"],
         ["stability", "--input", "{hg}", "--family", "cancellative",
          "--eps", "0.05", "--delta", "0.05", "--cap", "5"],
+        ["enumerate", "--n", "2", "--r", "3", "--verify-bound", "thm6", "--l", "2"],
+        ["enumerate", "--n", "0", "--r", "1", "--verify-bound", "thm1"],
     ], ids=["input-below-a-file", "out-below-a-file", "construct-out-below-a-file",
             "enumerate-negative-n", "extremal-negative-n", "enumerate-r-0",
             "thm3-at-r-1", "thm6-at-r-1", "negative-eps", "nan-delta",
-            "negative-delta", "nan-eps", "no-cap-flag"])
+            "negative-delta", "nan-eps", "no-cap-flag", "thm6-l-below-r-no-edges",
+            "thm1-at-r-1-no-edges"])
     def test_usage_error(self, argv, tmp_path, capsys):
         hg = write_turan(tmp_path / "t.hg")
         assert run([arg.format(hg=hg) for arg in argv]) == EXIT_USAGE
@@ -525,11 +529,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, r", [
         (["bound", "--input", "{hg}", "--family", "kk"], 171),
-        (["bound", "--input", "{hg}", "--family", "cancellative"], 144),
         (["stability", "--input", "{hg}", "--family", "cancellative",
           "--eps", "0.05", "--delta", "0.05"], 81),
         (["enumerate", "--n", "{r}", "--r", "{r}", "--verify-bound", "thm1"], 171),
-    ], ids=["kk-bound", "cancellative-bound", "cancellative-stability", "thm1-sweep"])
+    ], ids=["kk-bound", "cancellative-stability", "thm1-sweep"])
     def test_float_overflow_exits_2(self, argv, r, tmp_path, capsys):
         # One r-edge on r vertices: from this r on, a float leaves the
         # float range; one below, the command succeeds.
@@ -542,6 +545,18 @@ class TestExitCodes:
             if code == EXIT_USAGE:
                 assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("r", [143, 144, 1000])
+    def test_one_edge_cancellative_bound_is_tight(self, r, tmp_path):
+        # The cancellative bound is evaluated as the expansion bound at
+        # ell = r, which never forms r^(r-2): one edge gives x = r exactly.
+        hg = tmp_path / "e.hg"
+        hg.write_text(f"{r} {r}\n" + " ".join(map(str, range(r))) + "\n")
+        out = tmp_path / "r.json"
+        assert run(["bound", "--input", str(hg), "--family", "cancellative",
+                    "--out", str(out)]) == EXIT_OK
+        result = load_report(out)["results"][0]
+        assert (result["x"], result["bound"], result["tight"]) == (r, 1.0, True)
+
     def test_bound_sweep_violation_fails(self, tmp_path):
         # thm3 over every 3-graph on 4 vertices: K_4^3 and the graphs with
         # three edges beat the bound. The report names one graph per class,
@@ -553,8 +568,8 @@ class TestExitCodes:
                     for v in load_report(out)["results"][1]["violations"]]
         walked = {canonical_form(Hypergraph(3, 4, e))
                   for e in extremal._iter_free_edge_sets(4, 3, None)
-                  if e and not at_most(0.0, cancellative_bound(
-                      len(shadow(Hypergraph(3, 4, e))), 3)[1] - len(e))}
+                  if e and not at_most(0.0, shadow_bound(
+                      Cancellative(), len(shadow(Hypergraph(3, 4, e))), 3)[1] - len(e))}
         assert sorted(reported) == sorted(walked) and len(reported) == 2
 
     def test_certificate_failure_fails(self, tmp_path):
@@ -757,3 +772,20 @@ class TestDeterminismAndRevalidate:
         report["results"][0]["actual"] = 99
         out.write_text(json.dumps(report))
         assert run(["revalidate", "--report", str(out)]) == EXIT_CHECK_FAILED
+
+    def test_revalidate_detects_edited_input(self, tmp_path, capsys):
+        # A comment leaves the results as they were but changes the digest.
+        hg = write_turan(tmp_path / "t.hg")
+        out = tmp_path / "r.json"
+        run(["bound", "--input", hg, "--family", "cancellative",
+             "--out", str(out)])
+        recorded = load_report(out)["input_digest"]
+        with open(hg, "a") as fh:
+            fh.write("# edited\n")
+        capsys.readouterr()
+        assert run(["revalidate", "--report", str(out)]) == EXIT_CHECK_FAILED
+        diff = json.loads(capsys.readouterr().out)
+        assert diff["recomputed"]["results"] == diff["recorded"]["results"]
+        assert diff["recorded"]["input_digest"] == recorded
+        assert diff["recomputed"]["input_digest"] == hashlib.sha256(
+            Path(hg).read_bytes()).hexdigest() != recorded

@@ -23,9 +23,9 @@ from shadowlab import (
 )
 from shadowlab.bounds import (
     TOLERANCE,
-    cancellative_bound,
     expansion_bound,
     falling_binomial,
+    shadow_bound,
     solve_binomial_x,
 )
 from shadowlab.errors import ParameterError, ResourceBudgetError
@@ -556,6 +556,15 @@ class TestBoundSweeps:
         with pytest.raises(ParameterError):
             verify_bound_over_enumeration(8, 3, None, kind)
 
+    @pytest.mark.parametrize("n, r, kind, ell", [
+        (2, 3, "thm6", 2), (6, 3, "thm6", -5), (0, 1, "thm1", None), (5, 1, "thm3", None)])
+    def test_bound_domain_checked_before_the_class_pass(self, n, r, kind, ell, monkeypatch):
+        # With no edge to bound, or before the first one, only a check made
+        # first can refuse r < 2 or ell < r.
+        monkeypatch.setattr(extremal, "_free_classes", refuse_class_pass)
+        with pytest.raises(ParameterError):
+            verify_bound_over_enumeration(n, r, None, kind, ell)
+
     def test_violations_reported(self):
         # thm3 over every 3-graph on 4 vertices: K_4^3 and the graphs with
         # three edges beat the cancellative bound. The walk meets 5 such
@@ -636,7 +645,7 @@ def sweep_bound(kind, r, ell):
     """The named bound as a function of the shadow size, from the formulas."""
     return {
         "thm1": lambda s: falling_binomial(solve_binomial_x(s, r - 1), r),
-        "thm3": lambda s: cancellative_bound(s, r)[1],
+        "thm3": lambda s: shadow_bound(Cancellative(), s, r)[1],
         "thm6": lambda s: expansion_bound(s, ell, r)[1],
     }[kind]
 
@@ -651,6 +660,10 @@ def walk_violation_forms(n, r):
 
 def refuse_walk(*args):
     raise AssertionError("a product path walked the labelled sets")
+
+
+def refuse_class_pass(*args):
+    raise AssertionError("the class pass ran before the bound was checked")
 
 
 def polya_class_counts(n, r):
