@@ -3,13 +3,15 @@ and clique-expansion shadow bounds, and the inequality batteries used by the
 stability arguments. The cancellative bound is the clique-expansion bound at
 ell = r, so `expansion_bound` is the one formula that evaluates both.
 
-All bound arithmetic is double precision. Every verdict compares through
-`at_most`, the one place the 1e-9 tolerance is applied, at six sites: the
+All bound arithmetic is double precision. `BoundReport.of` is the one place
+a shadow bound meets |H|: `bound_report_for`, the bound sweep and the
+stability certificate all read its report. Every verdict compares through
+`at_most`, the one place the 1e-9 tolerance is applied, at five sites: the
 `Inequality` record (the lemma batteries and the stability claim flags),
-`BoundReport.holds` and `tight`, the sweep's violation test, and the
-certificate's hypothesis and removal tests. The real binomial C(x, k) is
-evaluated as a falling factorial, never through the Gamma function. Inequality
-checks recompute every quantity from the hypergraph on each call.
+`BoundReport.holds` and `tight`, and the certificate's hypothesis and removal
+tests. The real binomial C(x, k) is evaluated as a falling factorial, never
+through the Gamma function. Inequality checks recompute every quantity from
+the hypergraph on each call.
 """
 
 from __future__ import annotations
@@ -70,6 +72,15 @@ class BoundReport:
     actual: int
     slack: float
     tight: bool
+
+    @classmethod
+    def of(cls, family: Optional[Family], r: int, actual: int, shadow_size: int) -> BoundReport:
+        """The bound of `family` (None: every r-graph) for an r-graph with
+        `actual` edges and `shadow_size` shadow sets: the one place a shadow
+        bound meets |H|."""
+        x, bound = shadow_bound(family, shadow_size, r)
+        slack = bound - actual
+        return cls(shadow_size, x, bound, actual, slack, at_most(abs(slack), 0.0))
 
     @property
     def holds(self) -> bool:
@@ -133,10 +144,7 @@ def bound_report_for(h: Hypergraph, family: Optional[Family]) -> BoundReport:
     """The bound of `family` (None: every r-graph) evaluated on H."""
     if not h.edges:
         raise EmptyInputError("shadow bound needs a nonempty hypergraph")
-    s = len(shadow(h))
-    x, bound = shadow_bound(family, s, h.r)
-    slack = bound - len(h)
-    return BoundReport(s, x, bound, len(h), slack, at_most(abs(slack), 0.0))
+    return BoundReport.of(family, h.r, len(h), len(shadow(h)))
 
 
 def kk_bound(h: Hypergraph) -> BoundReport:

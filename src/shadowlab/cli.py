@@ -245,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("revalidate", help="recompute a report's payloads and diff")
     p.add_argument("--report", required=True)
-    common(p)
 
     return parser
 

@@ -23,9 +23,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .bounds import at_most, shadow_bound
+from .bounds import BoundReport
 from .errors import ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, IncrementalFreeChecker
 from .hypercore import Hypergraph, mask_to_tuple
@@ -444,15 +444,6 @@ def extremal_search(n: int, r: int, family: Family) -> ExtremalResult:
                           _stats("naive", classes).visited, len(forms) == 1, top[0][1])
 
 
-# The sweep's bound names: Theorem 1 is Kruskal-Katona for every r-graph,
-# Theorem 3 the cancellative bound, Theorem 6 the clique-expansion bound.
-_SWEEP_BOUNDS: dict[str, Callable[[Optional[int]], Optional[Family]]] = {
-    "thm1": lambda ell: None,
-    "thm3": lambda ell: Cancellative(),
-    "thm6": lambda ell: Expansion(ell),
-}
-
-
 def verify_bound_over_enumeration(
     n: int,
     r: int,
@@ -468,32 +459,33 @@ def verify_bound_over_enumeration(
     the engine's order at `min_slack`. `enumeration` holds both engines'
     counts over that one pass."""
     _check_shape(n, r)
-    if bound_kind not in _SWEEP_BOUNDS:
+    if bound_kind not in ("thm1", "thm3", "thm6"):
         raise ParameterError(f"unknown bound kind {bound_kind!r}")
     if bound_kind == "thm6" and ell is None:
         raise ParameterError("thm6 sweep needs ell")
     if r < 2 or bound_kind == "thm6" and ell < r:
         raise ParameterError(f"a bound sweep needs r >= 2 and ell >= r, got r={r}, ell={ell}")
-    bound_family = _SWEEP_BOUNDS[bound_kind](ell)
+    # Theorem 1 is Kruskal-Katona for every r-graph, Theorem 3 the
+    # cancellative bound, Theorem 6 the clique-expansion bound.
+    bound_family = {"thm1": None, "thm3": Cancellative(), "thm6": Expansion(ell)}[bound_kind]
     if (r - 1) * math.comb(n, r - 1) > ORDERLY_NODE_BUDGET:  # a shadow may hold every (r-1)-set
         raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
     classes = _free_classes(n, r, family)
-    bounds: dict[int, float] = {}  # the bound by shadow size
+    reports: dict[tuple[int, int], BoundReport] = {}  # one per (|H|, |shadow|)
     violations: list[tuple[tuple[int, ...], ...]] = []
     min_slack = math.inf
     argmin: tuple[tuple[int, ...], ...] = ()
     for _, h, _ in classes:
-        m = len(h)
-        if not m:
+        if not h.edges:
             continue
-        s = len({f for e in h.edges for f in itertools.combinations(e, r - 1)})
-        if s not in bounds:
-            bounds[s] = shadow_bound(bound_family, s, r)[1]
-        slack = bounds[s] - m
-        if not at_most(0.0, slack):
+        key = len(h), len({f for e in h.edges for f in itertools.combinations(e, r - 1)})
+        if key not in reports:
+            reports[key] = BoundReport.of(bound_family, r, *key)
+        report = reports[key]
+        if not report.holds:
             violations.append(h.edges)
-        if slack < min_slack:
-            min_slack = slack
+        if report.slack < min_slack:
+            min_slack = report.slack
             argmin = h.edges
     stats = {engine: _stats(engine, classes) for engine in ("naive", "orderly")}
     return SweepReport(

@@ -219,6 +219,8 @@ class ZValue:
 
 def shadow_i(h: Hypergraph, i: int) -> Hypergraph:
     """The i-th shadow: all (r-i)-sets contained in some edge."""
+    if h.r < 2:
+        raise ParameterError(f"shadows need r >= 2, got r={h.r}")
     if not 1 <= i <= h.r - 1:
         raise ParameterError(f"shadow index must be in 1..{h.r - 1}, got {i}")
     sub = set(chain.from_iterable(map(combinations, h.edges, repeat(h.r - i))))

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .bounds import Inequality, InequalityReport, at_most, shadow_bound
+from .bounds import Inequality, InequalityReport, at_most, bound_report_for, shadow_bound
 from .errors import EmptyInputError, ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, require_free
 from .hypercore import Hypergraph, shadow, sigma, z_value
@@ -373,11 +373,8 @@ def stability_certificate(
             f"need 0 < eps < 1 and finite delta >= 0, got eps={eps}, delta={delta}"
         )
     require_free(h, family)
-    if not h.edges:
-        raise EmptyInputError("certificate needs a nonempty hypergraph")
-    r = h.r
-    p = len(shadow(h))
-    x, bound = shadow_bound(family, p, r)
+    report = bound_report_for(h, family)
+    r, p, x, bound = h.r, report.shadow_size, report.x, report.bound
     ell_parts = r if isinstance(family, Cancellative) else family.ell
     removed_cap = delta * x ** r
     cert = StabilityCertificate(

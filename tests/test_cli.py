@@ -452,6 +452,25 @@ class TestExitCodes:
         assert run(["revalidate", "--report", str(report)]) == EXIT_USAGE
         assert capsys.readouterr().out == ""  # nothing was rerun
 
+    def test_revalidate_takes_no_out(self, tmp_path, capsys):
+        # revalidate always prints its verdict, so --out is refused, not ignored.
+        report = tmp_path / "r.json"
+        run(["bound", "--input", write_turan(tmp_path / "t.hg"), "--family", "kk",
+             "--out", str(report)])
+        out = tmp_path / "x.json"
+        assert run(["revalidate", "--report", str(report), "--out", str(out)]) == EXIT_USAGE
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["shadow"], ["bound", "--family", "kk"], ["lemmas", "--family", "cancellative"]],
+        ids=["shadow", "bound", "lemmas"])
+    def test_one_uniform_input_names_the_uniformity(self, argv, tmp_path, capsys):
+        hg = tmp_path / "r1.hg"
+        hg.write_text("1 3\n0\n2\n")
+        assert run([argv[0], "--input", str(hg), *argv[1:]]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: shadows need r >= 2, got r=1\n"
+
     def test_usage_error_on_directory_input(self, tmp_path):
         assert run(["check", "--input", str(tmp_path),
                     "--family", "cancellative"]) == EXIT_USAGE

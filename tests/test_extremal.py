@@ -23,6 +23,7 @@ from shadowlab import (
 )
 from shadowlab.bounds import (
     TOLERANCE,
+    bound_report_for,
     expansion_bound,
     falling_binomial,
     shadow_bound,
@@ -166,6 +167,18 @@ class TestCanonicalForm:
         perm = list(range(13))
         random.Random(13).shuffle(perm)
         assert canonical_form(path) == canonical_form(relabel(path, perm))
+
+    def test_orbit_pruning_uses_only_automorphisms_fixing_the_prefix(self):
+        # |Aut| = 6. Off the first path the search finds automorphisms that
+        # move a node's prefix; pruning a child by one of them loses the
+        # least leaf under one labelling but not under the other.
+        h = Hypergraph.build(3, 8, [tuple(map(int, e)) for e in (
+            "012 014 023 025 026 036 046 057 067 124 126 127 134 136 145 157 "
+            "234 257 346 347 356 357 457 567").split()])
+        moved = relabel(h, (0, 1, 2, 3, 4, 6, 7, 5))
+        assert extremal.canonical_search(h)[3] == 6
+        assert canonical_form(moved) == canonical_form(h)
+        assert are_isomorphic(h, moved)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -576,6 +589,26 @@ class TestBoundSweeps:
         assert sorted(forms) == sorted(set(walk_violation_forms(4, 3)))
         assert report.min_slack == pytest.approx(-1.1715728752538106)
         assert report.argmin_edges == complete(4, 3).edges
+        at_five = verify_bound_over_enumeration(5, 3, None, "thm3")
+        assert (len(at_five.violations), at_five.min_slack) == (13, -3.9141938054981535)
+
+    @pytest.mark.parametrize("name, n, r", [
+        (name, n, r) for name in ("none", "cancellative", "expansion-r", "expansion-r+1")
+        for r in (2, 3) for n in range(7) if name != "none" or n < 6])
+    def test_sweep_reads_the_bound_report(self, name, n, r):
+        """Each bound kind, at ell = r and r + 1 for thm6: the violations are
+        the nonempty classes whose `bound_report_for` does not hold, in class
+        order, and min_slack is the least of their reports' slack. The sweeps
+        that fail, such as thm3 over every 3-graph, are included."""
+        family = {"none": None, "cancellative": Cancellative(),
+                  "expansion-r": Expansion(r), "expansion-r+1": Expansion(r + 1)}[name]
+        for kind, ell in [("thm1", None), ("thm3", None), ("thm6", r), ("thm6", r + 1)]:
+            bound_family = {"thm1": None, "thm3": Cancellative(), "thm6": Expansion(ell)}[kind]
+            report = verify_bound_over_enumeration(n, r, family, kind, ell)
+            reports = [(h, bound_report_for(h, bound_family))
+                       for h in enumerate_free_classes(n, r, family) if h.edges]
+            assert report.violations == tuple(h.edges for h, b in reports if not b.holds)
+            assert report.min_slack == min((b.slack for _, b in reports), default=math.inf)
 
     def test_argmin_recorded(self):
         report = verify_bound_over_enumeration(4, 3, Cancellative(), "thm3")
