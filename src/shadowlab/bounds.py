@@ -4,14 +4,15 @@ stability arguments. The cancellative bound is the clique-expansion bound at
 ell = r, so `expansion_bound` is the one formula that evaluates both.
 
 All bound arithmetic is double precision. `BoundReport.of` is the one place
-a shadow bound meets |H|: `bound_report_for`, the bound sweep and the
-stability certificate all read its report. Every verdict compares through
-`at_most`, the one place the 1e-9 tolerance is applied, at five sites: the
-`Inequality` record (the lemma batteries and the stability claim flags),
-`BoundReport.holds` and `tight`, and the certificate's hypothesis and removal
-tests. The real binomial C(x, k) is evaluated as a falling factorial, never
-through the Gamma function. Inequality checks recompute every quantity from
-the hypergraph on each call.
+a shadow bound meets |H| and the only caller of `shadow_bound`:
+`bound_report_for`, the bound sweep, the stability certificate, both core
+extractions and L9.4's right side all read its report. Every verdict
+compares through `at_most`, the one place the 1e-9 tolerance is applied, at
+five sites: the `Inequality` record (the lemma batteries and the stability
+claim flags), `BoundReport.holds` and `tight`, and the certificate's
+hypothesis and removal tests. The real binomial C(x, k) is evaluated as a
+falling factorial, never through the Gamma function. Inequality checks
+recompute every quantity from the hypergraph on each call.
 """
 
 from __future__ import annotations
@@ -160,14 +161,6 @@ def expansion_report(h: Hypergraph, ell: int) -> BoundReport:
     return bound_report_for(h, Expansion(ell))
 
 
-def _shadow_of_link_size(h: Hypergraph, v: int) -> int:
-    lk = link(h, v)
-    if lk.r >= 2:
-        return len(shadow(lk))
-    # Link of a 2-graph is 1-uniform; its shadow degenerates to {empty set}.
-    return 1 if lk.edges else 0
-
-
 def lemma9_check(h: Hypergraph) -> InequalityReport:
     """The four cancellative degree-sum inequalities, evaluated at the
     lexicographically smallest maximum-degree-sum edge."""
@@ -191,12 +184,14 @@ def lemma9_check(h: Hypergraph) -> InequalityReport:
     inner3 = sum(sigma(h, s) for v in e for s in link_sets[v])
     inner3 += sum(sigma(h, s) for s in sh.edges if s not in union_links)
 
+    # The shadow of v's link is the shadow sets through v, less v; at r = 2
+    # the link is 1-uniform and its shadow is {empty set} when v has an edge.
     lhs4 = sum(
-        h.degrees[v] ** (1.0 / (r - 1)) * _shadow_of_link_size(h, v)
+        h.degrees[v] ** (1.0 / (r - 1)) * sh.degrees[v]
         for v in range(h.n)
         if h.degrees[v] > 0
     ) / (r * (r - 1))
-    rhs4 = shadow_bound(Cancellative(), p, r)[1]
+    rhs4 = BoundReport.of(Cancellative(), r, size, p).bound
 
     exp = 1.0 / (r - 1)
     return InequalityReport(

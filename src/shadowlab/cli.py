@@ -179,8 +179,13 @@ _CONSTRUCTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shadowlab")
+class _RecordedParser(argparse.ArgumentParser):
+    def error(self, message: str):  # raise the reason; print no usage
+        raise ParameterError(message)
+
+
+def _build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(prog="shadowlab")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
@@ -360,8 +365,10 @@ def _cmd_revalidate(args) -> int:
             or command[0] in ("revalidate", "construct")):
         raise ParameterError("report does not carry a re-runnable command")
     try:
-        rerun_args = _build_parser().parse_args(command)
-    except SystemExit:
+        rerun_args = _build_parser(_RecordedParser).parse_args(command)
+    except ParameterError as exc:
+        raise ParameterError(f"recorded command {command} does not parse: {exc}")
+    except SystemExit:  # --help
         raise ParameterError(f"recorded command {command} does not parse")
     rerun_args.out = None
     _, digest, results = _HANDLERS[rerun_args.subcommand](rerun_args)

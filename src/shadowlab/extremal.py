@@ -7,11 +7,12 @@ parent's automorphism group and testing it on the parent's
 `IncrementalFreeChecker` as the sampler tests each new edge. A child edge
 takes the least of the parent's isolated vertices, which the automorphisms
 fix, and a free child is kept only when its new edge is in the orbit of its
-canonical deletion. Each class comes with its form and |Aut|, so the naive
-engine's labelled counts are n!/|Aut| summed over the classes and the
-orderly engine's are the classes themselves. The labelled DFS over every
-edge subset, `_iter_free_edge_sets`, is kept only as the oracle the tests
-compare the class pass against. Certificates, labellings, canonical forms
+canonical deletion. Each class comes with its |Aut|, so the naive engine's
+labelled counts are n!/|Aut| summed over the classes and the orderly
+engine's are the classes themselves; the top level's forms come too, for
+the extremal search. The labelled DFS over every edge subset,
+`_iter_free_edge_sets`, is kept only as the oracle the tests compare the
+class pass against. Certificates, labellings, canonical forms
 and automorphisms come from an in-house individualization-refinement
 search with automorphism pruning, so they stay self-contained and testable.
 """
@@ -283,15 +284,15 @@ def enumerate_free(
     """
     if engine not in ("naive", "orderly"):
         raise ParameterError(f"unknown engine {engine!r}")
-    return _stats(engine, _free_classes(n, r, family))
+    return _stats(engine, _free_classes(n, r, family)[0])
 
 
-def _stats(engine: str, classes: list[tuple[bytes, Hypergraph, int]]) -> EnumerationStats:
+def _stats(engine: str, classes: list[tuple[Hypergraph, int]]) -> EnumerationStats:
     """The engine's counts by edge count over the classes of `_free_classes`:
     n!/|Aut| labelled graphs per class for "naive", one per class for
     "orderly"."""
     counts: Counter = Counter()
-    for _, h, order in classes:
+    for h, order in classes:
         counts[len(h)] += math.factorial(h.n) // order if engine == "naive" else 1
     return EnumerationStats(
         engine, sum(counts.values()), max(counts), tuple(sorted(counts.items()))
@@ -336,30 +337,31 @@ def _iter_free_edge_sets(
 
 def enumerate_free_classes(n: int, r: int, family: Optional[Family]) -> list[Hypergraph]:
     """The class representatives of `_free_classes`, in its order."""
-    return [h for _, h, _ in _free_classes(n, r, family)]
+    return [h for h, _ in _free_classes(n, r, family)[0]]
 
 
 def _free_classes(
     n: int, r: int, family: Optional[Family]
-) -> list[tuple[bytes, Hypergraph, int]]:
-    """Each class as its canonical form, representative and |Aut|.
-    Isomorph-free enumeration by canonical augmentation (McKay,
-    "Isomorph-free exhaustive generation", 1998). A child of a class
-    representative P is P + e for a candidate edge e. Candidates in one
-    orbit of Aut(P) give isomorphic children, so P tries only the least of
-    each orbit; Aut(P) is the search's automorphisms, which fix the isolated
-    vertices, times their symmetric group, so that least candidate holds
-    P's least isolated vertices. A free child C is kept only when e lies in
-    the orbit of its canonical deletion m(C), so each class is kept once, as
-    a child of the class of C - m(C). An edge's key is the sorted degrees of
-    its vertices in C, and m(C) is the top-key edge that the least leaf of
-    C's search labels least; a child whose e is not top-key is dropped
-    before any search. Each level is sorted on its forms: the order is edge
-    count, then canonical key. The representatives are the children kept,
-    not the first child of each class in scan order. The form and |Aut| of
-    a kept child come from the search that tested it; the empty root's
-    |Aut| is n!. Raises `ResourceBudgetError` rather than scan more than
-    `ORDERLY_NODE_BUDGET` candidate edges, C(n, r) per class."""
+) -> tuple[list[tuple[Hypergraph, int]], list[bytes]]:
+    """Each class as its representative and |Aut|, and the canonical forms
+    of the top level's classes, in their order. Isomorph-free enumeration by
+    canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    1998). A child of a class representative P is P + e for a candidate edge
+    e. Candidates in one orbit of Aut(P) give isomorphic children, so P
+    tries only the least of each orbit; Aut(P) is the search's
+    automorphisms, which fix the isolated vertices, times their symmetric
+    group, so that least candidate holds P's least isolated vertices. A free
+    child C is kept only when e lies in the orbit of its canonical deletion
+    m(C), so each class is kept once, as a child of the class of C - m(C).
+    An edge's key is the sorted degrees of its vertices in C, and m(C) is
+    the top-key edge that the least leaf of C's search labels least; a child
+    whose e is not top-key is dropped before any search. Each level is
+    sorted on its forms, which are dropped once the next level is found: the
+    order is edge count, then canonical key. The representatives are the
+    children kept, not the first child of each class in scan order. The form
+    and |Aut| of a kept child come from the search that tested it; the empty
+    root's |Aut| is n!. Raises `ResourceBudgetError` rather than scan more
+    than `ORDERLY_NODE_BUDGET` candidate edges, C(n, r) per class."""
     _check_shape(n, r)
     # Refuse before listing the candidates when the scans sure to come, or
     # the r * c vertices of the list, pass the budget. k disjoint edges are
@@ -373,11 +375,11 @@ def _free_classes(
     candidates = _candidates(n, r)
     vertices = {m: e for e, m in candidates}
     nodes = 0
-    out: list[tuple[bytes, Hypergraph, int]] = []
+    out: list[tuple[Hypergraph, int]] = []
     level = [(_encode(r, n, ()), Hypergraph(r, n, ()), [], math.factorial(n))]
     checker = IncrementalFreeChecker(n, r, family) if family is not None else None
-    while level:
-        out.extend((form, rep, order) for form, rep, _, order in level)
+    while True:
+        out.extend((rep, order) for _, rep, _, order in level)
         next_level: list[tuple[bytes, Hypergraph, list[list[int]], int]] = []
         for _, rep, generators, _ in level:
             nodes += c
@@ -413,9 +415,10 @@ def _free_classes(
             if checker is not None:
                 for _ in rep.edge_masks:
                     checker.pop()
+        if not next_level:
+            return out, [form for form, *_ in level]
         next_level.sort(key=lambda accepted: accepted[0])
         level = next_level
-    return out
 
 
 def _edge_orbit(m: int, generators: list[list[int]], vertices: dict) -> set[int]:
@@ -437,11 +440,10 @@ def extremal_search(n: int, r: int, family: Family) -> ExtremalResult:
     the top level of `_free_classes` within its budget: forms come sorted,
     and the example is the first representative. `count_searched` is the
     naive engine's labelled free-graph count."""
-    classes = _free_classes(n, r, family)
-    top = [(form, h) for form, h, _ in classes if len(h) == len(classes[-1][1])]
-    forms = tuple(form for form, _ in top)
-    return ExtremalResult(n, r, str(family), len(top[0][1]), forms,
-                          _stats("naive", classes).visited, len(forms) == 1, top[0][1])
+    classes, forms = _free_classes(n, r, family)
+    example = classes[-len(forms)][0]
+    return ExtremalResult(n, r, str(family), len(example), tuple(forms),
+                          _stats("naive", classes).visited, len(forms) == 1, example)
 
 
 def verify_bound_over_enumeration(
@@ -470,12 +472,12 @@ def verify_bound_over_enumeration(
     bound_family = {"thm1": None, "thm3": Cancellative(), "thm6": Expansion(ell)}[bound_kind]
     if (r - 1) * math.comb(n, r - 1) > ORDERLY_NODE_BUDGET:  # a shadow may hold every (r-1)-set
         raise ResourceBudgetError.nodes("orderly engine", ORDERLY_NODE_BUDGET)
-    classes = _free_classes(n, r, family)
+    classes = _free_classes(n, r, family)[0]
     reports: dict[tuple[int, int], BoundReport] = {}  # one per (|H|, |shadow|)
     violations: list[tuple[tuple[int, ...], ...]] = []
     min_slack = math.inf
     argmin: tuple[tuple[int, ...], ...] = ()
-    for _, h, _ in classes:
+    for h, _ in classes:
         if not h.edges:
             continue
         key = len(h), len({f for e in h.edges for f in itertools.combinations(e, r - 1)})
@@ -494,26 +496,16 @@ def verify_bound_over_enumeration(
     )
 
 
-def random_free_graph(
-    n: int,
-    r: int,
-    family: Family,
-    seed: int,
-    target_edges: Optional[int] = None,
-) -> Hypergraph:
+def random_free_graph(n: int, r: int, family: Family, seed: int) -> Hypergraph:
     """Seeded rejection sampler: walk a shuffled candidate list, keeping each
-    edge that preserves freeness, until target_edges edges are placed."""
+    edge that preserves freeness, so the sample is a maximal free graph."""
     _check_shape(n, r)
     rng = random.Random(seed)
     candidates = _candidates(n, r)
     rng.shuffle(candidates)
-    if target_edges is None:
-        target_edges = len(candidates)
     checker = IncrementalFreeChecker(n, r, family)
     kept: list[tuple[int, ...]] = []
     for e, m in candidates:
-        if len(kept) >= target_edges:
-            break
         if not checker.would_violate(m):
             checker.push(m)
             kept.append(e)

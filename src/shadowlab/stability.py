@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .bounds import Inequality, InequalityReport, at_most, bound_report_for, shadow_bound
+from .bounds import BoundReport, Inequality, InequalityReport, at_most, bound_report_for
 from .errors import EmptyInputError, ParameterError, ResourceBudgetError
 from .forbidden import Cancellative, Expansion, Family, require_free
 from .hypercore import Hypergraph, shadow, sigma, z_value
@@ -54,10 +54,7 @@ class CoreExtraction:
 class StabilityCertificate:
     family: str
     ell_parts: int
-    shadow_size: int
-    x: float
-    bound: float
-    actual: int
+    report: BoundReport
     eps: float
     delta: float
     hypothesis_met: bool
@@ -65,7 +62,6 @@ class StabilityCertificate:
     removed_cap: float
     core: Optional[CoreExtraction] = None
     fit: Optional[PartitionFit] = None
-    eps1_references: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -275,7 +271,7 @@ def _extract_core(h: Hypergraph, family: Family, eps: float, threshold_of):
     """The part both core extractions share: check eps and freeness, keep
     the shadow members whose degree sum reaches `threshold_of(r, |shadow|)`,
     and take their vertices as the core U. Returns the extraction without
-    flags, |shadow|, |H[U]| and the least degree on U."""
+    flags, the family's bound report on H, |H[U]| and the least degree on U."""
     if not 0 < eps < 1:
         raise ParameterError(f"eps must be in (0,1), got {eps}")
     require_free(h, family)
@@ -296,19 +292,19 @@ def _extract_core(h: Hypergraph, family: Family, eps: float, threshold_of):
         "shadow_h_u_size": float(len(shadow(h_u))) if h_u.edges else 0.0,
     }
     min_deg = min((h.degrees[v] for v in core), default=math.inf)
-    return CoreExtraction(threshold, members, core, stats), p, len(h_u), min_deg
+    report = BoundReport.of(family, h.r, len(h), p)
+    return CoreExtraction(threshold, members, core, stats), report, len(h_u), min_deg
 
 
 def core_extract_cancellative(h: Hypergraph, eps: float) -> CoreExtraction:
     """Threshold set of high-degree-sum shadow members and its vertex core,
     with the claim statistics the cancellative argument tracks."""
-    ext, p, h_u_size, min_deg = _extract_core(
+    ext, report, h_u_size, min_deg = _extract_core(
         h, Cancellative(), eps,
         lambda r, p: ((r - 1) / r - 2 * r * math.sqrt(eps)) * p,
     )
-    r = h.r
+    r, p, x, bound = h.r, report.shadow_size, report.x, report.bound
     rt = math.sqrt(eps)
-    x, bound = shadow_bound(Cancellative(), p, r)
     g, u = len(ext.members), len(ext.core)
     g_low = (1 - 8 * r ** 2 * rt) * p
     deg_low = (1 / r - 3 * r ** 2 * rt) * p
@@ -328,16 +324,15 @@ def core_extract_cancellative(h: Hypergraph, eps: float) -> CoreExtraction:
 def core_extract_expansion(h: Hypergraph, ell: int, eps: float) -> CoreExtraction:
     """Threshold set for the clique-expansion argument, with the z window
     and the claim statistics reported as flags."""
-    ext, p, h_u_size, min_deg = _extract_core(
+    ext, report, h_u_size, min_deg = _extract_core(
         h, Expansion(ell), eps,
         lambda r, p: (1 - eps ** 0.25) * ((ell - r + 1) / ell) * (r - 1) * p,
     )
-    r = h.r
+    r, p, x, bound = h.r, report.shadow_size, report.x, report.bound
     q = eps ** 0.25
     density = (ell - r + 1) / ell
     rt = math.sqrt(eps)
     z = float(z_value(h, ell).z)
-    x, bound = shadow_bound(Expansion(ell), p, r)
     g, u = len(ext.members), len(ext.core)
     g_low = (1 - ell ** 2 * r * q) * p
     deg_low = (1 - 2 * q) * density * p
@@ -374,24 +369,18 @@ def stability_certificate(
         )
     require_free(h, family)
     report = bound_report_for(h, family)
-    r, p, x, bound = h.r, report.shadow_size, report.x, report.bound
-    ell_parts = r if isinstance(family, Cancellative) else family.ell
-    removed_cap = delta * x ** r
+    ell_parts = h.r if isinstance(family, Cancellative) else family.ell
+    removed_cap = delta * report.x ** h.r
     cert = StabilityCertificate(
-        str(family), ell_parts, p, x, bound, len(h), eps, delta,
-        hypothesis_met=False, status="hypothesis-not-met",
-        removed_cap=removed_cap, eps1_references={
-            "lemma-statement": 35 * r ** 4 * math.sqrt(eps),
-            "theorem-invocation": 40 * r ** (2 * r) * math.sqrt(eps),
-            "induction-variant": 35 * r ** 4 * eps ** 0.25,
-        },
+        str(family), ell_parts, report, eps, delta,
+        hypothesis_met=False, status="hypothesis-not-met", removed_cap=removed_cap,
     )
-    if not at_most((1 - eps) * bound, len(h)):
+    if not at_most((1 - eps) * report.bound, report.actual):
         return cert
     if isinstance(family, Cancellative):
         core = core_extract_cancellative(h, eps)
     else:
         core = core_extract_expansion(h, family.ell, eps)
-    fit = partition_fit(h, ell_parts, math.ceil(x), mode=mode, seed=seed)
+    fit = partition_fit(h, ell_parts, math.ceil(report.x), mode=mode, seed=seed)
     status = "ok" if at_most(fit.removed, removed_cap) else "removed-exceeds-cap"
     return replace(cert, hypothesis_met=True, status=status, core=core, fit=fit)

@@ -2,6 +2,9 @@
 corpora reused by the property and acceptance suites, and the edge-by-edge
 walk that `Hypergraph.build` is checked against."""
 
+import itertools
+import random
+
 import pytest
 
 from shadowlab import Cancellative, Expansion, Hypergraph, complete, turan
@@ -54,12 +57,22 @@ def reference_build(r, n, edges) -> Hypergraph:
     return Hypergraph(r, n, tuple(sorted(seen)))
 
 
+def _first_kept(n, family, seed, target) -> Hypergraph:
+    """The first `target` edges `random_free_graph` keeps, in its draw order
+    (its shuffle permutes the lexicographic 3-sets by `seed`): free, as a
+    subgraph of its maximal free sample."""
+    kept = set(random_free_graph(n, 3, family, seed).edges)
+    draws = list(itertools.combinations(range(n), 3))
+    random.Random(seed).shuffle(draws)
+    return Hypergraph(3, n, tuple(sorted([e for e in draws if e in kept][:target])))
+
+
 def _corpus(family, base_seed):
     out = []
     for seed in range(RANDOM_CORPUS_SIZE):
         n = 4 + seed % 7  # 4..10
         target = 2 + seed % 11
-        out.append(random_free_graph(n, 3, family, base_seed + seed, target))
+        out.append(_first_kept(n, family, base_seed + seed, target))
     return out
 
 

@@ -1,12 +1,15 @@
 """Numeric bounds and the inequality batteries."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlab import Cancellative, Expansion, Hypergraph, complete, shadow, turan, turan_padded
+from shadowlab import (
+    Cancellative, Expansion, Hypergraph, complete, link, shadow, turan, turan_padded,
+)
 from shadowlab.bounds import (
     TOLERANCE,
     Inequality,
@@ -201,6 +204,27 @@ class TestLemma9:
         with pytest.raises(PreconditionError) as err:
             lemma9_check(k4)
         assert err.value.witness is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_link_shadow_is_the_shadow_degree(self, data):
+        # L9.4 reads |shadow(L_v)| as v's degree in shadow(H): the shadow
+        # sets through v, less v, are the shadow of v's link. At r = 2 the
+        # link is 1-uniform, and its shadow {empty set} counts 1 when v has
+        # an edge. Vertices past `support`, or missed by every edge, are
+        # isolated.
+        r = data.draw(st.integers(2, 5))
+        n = data.draw(st.integers(r, 9))
+        support = data.draw(st.integers(r, n))
+        edges = data.draw(st.sets(
+            st.sampled_from(list(itertools.combinations(range(support), r))), min_size=1))
+        h = Hypergraph.build(r, n, edges)
+        degrees = shadow(h).degrees
+        for v in range(n):
+            if r >= 3:
+                assert degrees[v] == len(shadow(link(h, v)))
+            else:
+                assert degrees[v] == (1 if h.degrees[v] else 0)
 
 
 class TestLemma14:

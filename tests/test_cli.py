@@ -437,20 +437,28 @@ class TestExitCodes:
         "not json",
         "[1,2]",
         '{"command": ["check", "--bogus"]}',
+        '{"command": ["bound", "--input", "x"]}',
         '{"results": []}',
         '{"command": []}',
         '{"command": "bound"}',
         '{"command": ["bound", 3]}',
         '{"command": ["revalidate", "--report", "r.json"]}',
         '{"command": ["construct", "--family", "fano"], "results": []}',
-    ], ids=["not-json", "not-an-object", "unparsable-command", "no-command",
+    ], ids=["not-json", "not-an-object", "unparsable-command", "missing-flag", "no-command",
             "empty-command", "string-command", "non-string-argument",
             "revalidate-command", "construct-command"])
     def test_revalidate_malformed_report(self, document, tmp_path, capsys):
         report = tmp_path / "r.json"
         report.write_text(document)
         assert run(["revalidate", "--report", str(report)]) == EXIT_USAGE
-        assert capsys.readouterr().out == ""  # nothing was rerun
+        out, err = capsys.readouterr()
+        assert out == ""  # nothing was rerun
+        # One error line; for a command that does not parse, it carries
+        # argparse's reason and no usage block.
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if document == '{"command": ["bound", "--input", "x"]}':
+            assert err.endswith(
+                "does not parse: the following arguments are required: --family\n")
 
     def test_revalidate_takes_no_out(self, tmp_path, capsys):
         # revalidate always prints its verdict, so --out is refused, not ignored.
@@ -549,7 +557,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, r", [
         (["bound", "--input", "{hg}", "--family", "kk"], 171),
         (["stability", "--input", "{hg}", "--family", "cancellative",
-          "--eps", "0.05", "--delta", "0.05"], 81),
+          "--eps", "0.05", "--delta", "0.05"], 144),
         (["enumerate", "--n", "{r}", "--r", "{r}", "--verify-bound", "thm1"], 171),
     ], ids=["kk-bound", "cancellative-stability", "thm1-sweep"])
     def test_float_overflow_exits_2(self, argv, r, tmp_path, capsys):

@@ -739,15 +739,18 @@ class TestRandomFree:
         from shadowlab.forbidden import is_free
 
         for seed in range(50):
-            h = random_free_graph(8, 3, family, seed, 6)
+            h = random_free_graph(8, 3, family, seed)
             assert is_free(h, family)
-            assert len(h) <= 6
+            # Maximal: every 3-set left out would break freeness.
+            for e in itertools.combinations(range(8), 3):
+                if e not in h.edges:
+                    assert not is_free(Hypergraph(3, 8, tuple(sorted(h.edges + (e,)))), family)
 
     def test_rejects_non_family(self):
         with pytest.raises(ParameterError):
             random_free_graph(6, 3, None, 1)
 
     def test_seed_determinism(self):
-        a = random_free_graph(9, 3, Cancellative(), 123, 8)
-        b = random_free_graph(9, 3, Cancellative(), 123, 8)
+        a = random_free_graph(9, 3, Cancellative(), 123)
+        b = random_free_graph(9, 3, Cancellative(), 123)
         assert a == b

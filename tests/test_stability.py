@@ -18,6 +18,7 @@ from shadowlab import (
     turan,
     turan_padded,
 )
+from shadowlab.bounds import bound_report_for, lemma9_check
 from shadowlab.errors import (
     ParameterError,
     PreconditionError,
@@ -357,7 +358,7 @@ class TestCertificate:
             turan_padded(9, 6, 3, 3), Cancellative(), 0.05, 0.05
         )
         assert cert.passed and cert.status == "ok"
-        assert cert.x == pytest.approx(6, abs=1e-9)
+        assert cert.report.x == pytest.approx(6, abs=1e-9)
         assert cert.fit.removed == 0
 
     def test_near_extremal_passes(self, t6):
@@ -383,12 +384,18 @@ class TestCertificate:
         cert = stability_certificate(h, Cancellative(), 0.001, 0.001)
         assert cert.passed and cert.fit.removed == 0
 
-    def test_eps1_reference_values(self, t6):
-        cert = stability_certificate(t6, Cancellative(), 0.04, 0.1)
-        refs = cert.eps1_references
-        assert refs["lemma-statement"] == pytest.approx(35 * 3 ** 4 * 0.2)
-        assert refs["theorem-invocation"] == pytest.approx(40 * 3 ** 6 * 0.2)
-        assert refs["induction-variant"] == pytest.approx(35 * 3 ** 4 * 0.04 ** 0.25)
+    @pytest.mark.parametrize("family", [Cancellative(), Expansion(3), Expansion(4)], ids=str)
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_carries_the_bound_report(self, n, family):
+        # The certificate carries the family's bound report on H, the one
+        # L9.4's right side reads too.
+        h = turan_padded(n + 2, n, 3, 3)
+        report = bound_report_for(h, family)
+        cert = stability_certificate(h, family, 0.05, 0.05)
+        assert cert.report == report
+        assert cert.removed_cap == 0.05 * report.x ** 3
+        if isinstance(family, Cancellative):
+            assert lemma9_check(h).get("L9.4").rhs == report.bound
 
     def test_rejects_non_free(self, k4):
         with pytest.raises(PreconditionError):
@@ -412,7 +419,7 @@ class TestCertificate:
         # only ceil(x) of them, and the certificate takes no other cap.
         h = turan_padded(12, 6, 3, 3)
         cert = stability_certificate(h, Cancellative(), 0.05, 0.05)
-        assert math.ceil(cert.x) == 6 and len(cert.fit.subset) <= 6
+        assert math.ceil(cert.report.x) == 6 and len(cert.fit.subset) <= 6
         with pytest.raises(TypeError):
             stability_certificate(h, Cancellative(), 0.05, 0.05, cap=5)
 
