@@ -180,6 +180,9 @@ _CONSTRUCTIONS = {
 
 
 class _RecordedParser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no --help: it prints before it exits
+        super().__init__(add_help=False, **kwargs)
+
     def error(self, message: str):  # raise the reason; print no usage
         raise ParameterError(message)
 
@@ -368,8 +371,6 @@ def _cmd_revalidate(args) -> int:
         rerun_args = _build_parser(_RecordedParser).parse_args(command)
     except ParameterError as exc:
         raise ParameterError(f"recorded command {command} does not parse: {exc}")
-    except SystemExit:  # --help
-        raise ParameterError(f"recorded command {command} does not parse")
     rerun_args.out = None
     _, digest, results = _HANDLERS[rerun_args.subcommand](rerun_args)
     fresh = {"input_digest": digest, "results": _jsonable(results)}

@@ -79,14 +79,13 @@ def partition_fit(
     r-graph on at most `cap` vertices.
 
     Both modes run the seeded heuristic: greedy seeding in (-degree, v)
-    order plus single-vertex-move local search, scored from per-edge codes
-    sum((r+1)**label): base r+1, as in base r an edge inside one part would
-    carry into the next digit. Heuristic mode returns its labelling as an
-    upper bound flagged non-optimal; exact mode hands it to branch-and-bound
-    over vertex labelings as the incumbent to beat; any n is tried, and
-    `ResourceBudgetError` is raised past `FIT_NODE_BUDGET` nodes. With
-    fewer parts than r no edge is transversal, so every labelling removes
-    all edges and exact mode keeps the heuristic's fit without a search.
+    order plus single-vertex-move local search. Heuristic mode returns its
+    labelling as an upper bound flagged non-optimal; exact mode hands it to
+    branch-and-bound over vertex labelings as the incumbent to beat; any n
+    is tried, and `ResourceBudgetError` is raised past `FIT_NODE_BUDGET`
+    nodes. Both score from one code per edge (`_edge_codes`). With fewer
+    parts than r no edge is transversal, so every labelling removes all
+    edges and exact mode keeps the heuristic's fit without a search.
     """
     if ell < 1 or cap < 0:
         raise ParameterError(f"need ell >= 1 and cap >= 0, got ell={ell}, cap={cap}")
@@ -121,19 +120,62 @@ def _removed_count(h: Hypergraph, labels) -> int:
     return sum(len({labels[v] for v in e} - {OUT}) < h.r for e in h.edges)
 
 
+def _edge_codes(h: Hypergraph, ell: int):
+    """The edge codes both fit engines score from. Edge i's code is
+    sum((r+1)**label) over its placed vertices, OUT as digit ell, so digit
+    p counts its vertices in part p; an unplaced vertex adds nothing. A
+    digit reaches r at most, hence base r+1: in base r an edge inside one
+    part would carry into the next digit. An edge is removed once a part
+    digit reaches 2 or its OUT digit is nonzero. Returns the codes (all 0),
+    `unit` (each label's digit value), `removals()`, `costs_of` and `move`;
+    each distinct code is decoded once.
+    """
+    r = h.r
+    incidence = h.incidence
+    unit = [(r + 1) ** p for p in range(ell + 1)]   # unit[OUT] is digit ell
+    code = [0] * len(h.edges)
+    decoded = {}
+
+    def decode(c):  # (removed, the labels that remove it: its parts and OUT)
+        digits = [c // u % (r + 1) for u in unit]
+        removed = digits[OUT] > 0 or max(digits[:ell]) > 1
+        hits = () if removed else (*[p for p in range(ell) if digits[p]], OUT)
+        decoded[c] = entry = (removed, hits)
+        return entry
+
+    def removals():
+        return sum(k for c, k in Counter(code).items() if (decoded.get(c) or decode(c))[0])
+
+    def costs_of(v, own):
+        """costs[label], OUT last: the edges through v that v removes by
+        taking that label, once its digit value `own` is taken out."""
+        costs = [0] * (ell + 1)
+        for c, k in Counter(map(code.__getitem__, incidence[v])).items():
+            c -= own
+            for p in (decoded.get(c) or decode(c))[1]:
+                costs[p] += k
+        return costs
+
+    def move(v, shift):  # add `shift` to the codes of v's edges
+        for i in incidence[v]:
+            code[i] += shift
+
+    return code, unit, removals, costs_of, move
+
+
 def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, order, best_labels, best):
     """Depth-first labelling of `order`, pruned by the incumbent
     (`best_labels`, `best`); returns an optimal labelling and its removals,
     or raises `ResourceBudgetError` past `FIT_NODE_BUDGET` nodes. The path
-    is a list of frames, one per labelled vertex, so any n fits in it."""
+    is a list of frames, one per labelled vertex, so any n fits in it. A
+    frame reads its vertex's removals per label once from the edge codes,
+    and a label is put on or taken off by shifting the codes."""
     n = h.n
     nodes = 0
     allow_out = n > cap
-    incident = h.incidence
-    labels = [OUT] * n
-    used_mask = [0] * len(h.edges)   # labels already present per edge
-    violated = [False] * len(h.edges)
-    frames = []  # per labelled vertex: its node, its untried labels, its label's marks
+    _, unit, _, costs_of, move = _edge_codes(h, ell)
+    labels = [None] * n   # None: not labelled on the current path
+    frames = []  # per labelled vertex: its node, its untried labels, its removals per label
     node = (0, 0, 0, -1)  # pos, removed, in_count, max_part
     while True:
         nodes += 1
@@ -144,33 +186,19 @@ def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, order, best_labels,
             best, best_labels = removed, labels.copy()
         elif removed < best:
             parts = range(min(max_part + 1, ell - 1) + 1) if in_count < cap else ()
-            frames.append((node, iter([*parts, OUT] if allow_out else parts), []))
-        while frames:  # undo the deepest vertex's label, then try its next
-            (pos, removed, in_count, max_part), untried, undo = frames[-1]
-            for i, mark in undo:
-                if mark is None:
-                    violated[i] = False
-                else:
-                    used_mask[i] &= ~(1 << mark)
-            undo.clear()
-            p = next(untried, None)
+            frames.append((node, iter([*parts, OUT] if allow_out else parts),
+                           costs_of(order[pos], 0)))
+        while frames:  # move the deepest vertex to its next label, or unlabel it
+            (pos, removed, in_count, max_part), untried, costs = frames[-1]
+            v = order[pos]
+            shift = 0 if labels[v] is None else -unit[labels[v]]
+            p = labels[v] = next(untried, None)
             if p is None:
+                move(v, shift)
                 frames.pop()
                 continue
-            v = order[pos]
-            labels[v] = p
-            extra = 0
-            for i in incident[v]:
-                if violated[i]:
-                    continue
-                if p == OUT or used_mask[i] >> p & 1:
-                    violated[i] = True
-                    undo.append((i, None))
-                    extra += 1
-                else:
-                    used_mask[i] |= 1 << p
-                    undo.append((i, p))
-            node = (pos + 1, removed + extra, in_count + (p != OUT),
+            move(v, shift + unit[p])
+            node = (pos + 1, removed + costs[p], in_count + (p != OUT),
                     max_part if p == OUT else max(max_part, p))
             break
         else:
@@ -179,76 +207,43 @@ def _fit_branch_and_bound(h: Hypergraph, ell: int, cap: int, order, best_labels,
 
 def _fit_heuristic(h: Hypergraph, ell: int, cap: int, order, seed: int, restarts: int):
     """Greedy seeding of `order[:cap]` (of a seeded shuffle of `order` after
-    the first restart), then local search; the best labels and removals.
-    Each edge keeps the code sum((r+1)**label) over its vertices, OUT as
-    digit ell, so digit p counts its vertices in part p. A digit reaches r
-    at most, hence base r+1: in base r an edge inside one part would carry
-    into the next digit. A vertex's move costs come from the multiset of its
-    edges' codes less its own digit, each distinct code decoded once per call.
-    """
-    r = h.r
-    incidence = h.incidence
-    unit = [(r + 1) ** p for p in range(ell + 1)]   # unit[OUT] is digit ell
-    decoded = {}   # code -> (broken with OUT ignored, with OUT breaking, parts)
-
-    def decode(c):
-        digits = [c // u % (r + 1) for u in unit]
-        dup = max(digits[:ell]) > 1
-        decoded[c] = entry = (dup, dup or digits[OUT] > 0, [p for p in range(ell) if digits[p]])
-        return entry
-
-    def costs_of(v, out_breaks):
-        """costs[p] = edges through v broken if v takes part p. An OUT
-        neighbour breaks its edge when `out_breaks`, else is not yet placed."""
-        own = unit[labels[v]]
-        broken = 0
-        costs = [0] * ell
-        for c, k in Counter(map(code.__getitem__, incidence[v])).items():
-            c -= own
-            entry = decoded.get(c) or decode(c)
-            if entry[out_breaks]:
-                broken += k
-            else:
-                for p in entry[2]:
-                    costs[p] += k
-        return [broken + c for c in costs]
-
-    def move(v, p):
-        shift = unit[p] - unit[labels[v]]
-        for i in incidence[v]:
-            code[i] += shift
-        labels[v] = p
-
+    the first restart), the rest left out, then local search; the best
+    labels and removals."""
+    code, unit, removals, costs_of, move = _edge_codes(h, ell)
     rng = random.Random(seed)
     best_labels, best = None, len(h.edges) + 1
     for attempt in range(restarts):
         seeding = order.copy()
         if attempt > 0:
             rng.shuffle(seeding)
+        code[:] = [0] * len(code)
         labels = [OUT] * h.n
-        code = [r * unit[OUT]] * len(h.edges)
         for v in seeding[:cap]:
-            costs = costs_of(v, out_breaks=False)
-            move(v, costs.index(min(costs)))
+            costs = costs_of(v, 0)
+            p = labels[v] = costs.index(min(costs))
+            move(v, unit[p])
+        for v in seeding[cap:]:
+            move(v, unit[OUT])
         # Local search: single-vertex moves between parts, first improvement
-        # in vertex and part order (the scan over parts ends at the first
-        # cheapest one), until none helps. Left-out vertices stay out: the
-        # seeding leaves a vertex out only once the cap is full.
-        removed = sum(k for c, k in Counter(code).items() if (decoded.get(c) or decode(c))[1])
+        # in vertex and part order (the scan ends at the first cheapest part;
+        # OUT never costs less), until none helps. Left-out vertices stay
+        # out: the seeding leaves a vertex out only once the cap is full.
+        removed = removals()
         kept = [v for v in range(h.n) if labels[v] != OUT]
         improved = True
         while improved:
             improved = False
             for v in kept:
-                costs = costs_of(v, out_breaks=True)
+                own = unit[labels[v]]
+                costs = costs_of(v, own)
                 least = min(costs)
                 if least < costs[labels[v]]:
                     removed += least - costs[labels[v]]
-                    move(v, costs.index(least))
+                    p = labels[v] = costs.index(least)
+                    move(v, unit[p] - own)
                     improved = True
         if removed < best:
-            best = removed
-            best_labels = labels
+            best_labels, best = labels, removed
         if not best:  # no restart improves on a fit that removes nothing
             break
     return best_labels, best

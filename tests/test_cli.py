@@ -438,13 +438,15 @@ class TestExitCodes:
         "[1,2]",
         '{"command": ["check", "--bogus"]}',
         '{"command": ["bound", "--input", "x"]}',
+        '{"command": ["bound", "--help"]}',
         '{"results": []}',
         '{"command": []}',
         '{"command": "bound"}',
         '{"command": ["bound", 3]}',
         '{"command": ["revalidate", "--report", "r.json"]}',
         '{"command": ["construct", "--family", "fano"], "results": []}',
-    ], ids=["not-json", "not-an-object", "unparsable-command", "missing-flag", "no-command",
+    ], ids=["not-json", "not-an-object", "unparsable-command", "missing-flag", "help",
+            "no-command",
             "empty-command", "string-command", "non-string-argument",
             "revalidate-command", "construct-command"])
     def test_revalidate_malformed_report(self, document, tmp_path, capsys):

@@ -13,6 +13,17 @@ from shadowlab import extremal
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_script(script, args):
+    """Run a script on the source tree; returns its stdout once it exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
@@ -22,12 +33,15 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(script, args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_script(script, args)
+
+
+def test_spiked_fit_removes_the_spikes():
+    """The docstring's claim: the removal count tracks the spiked
+    intra-part edges exactly, and exact mode proves it optimal."""
+    out = run_script("stability_experiment.py", [
+        "--n", "9", "--seeds", "1", "--max-deletions", "0", "--spike", "3"])
+    assert out.splitlines()[-1].endswith("fit removed 3 (optimal=True)")
 
 
 @pytest.mark.parametrize("script, row, next_family", [

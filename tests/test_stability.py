@@ -26,8 +26,10 @@ from shadowlab.errors import (
 )
 from shadowlab.stability import (
     OUT,
+    _edge_codes,
     _fit_branch_and_bound,
     _fit_result,
+    _removed_count,
     brute_force_partition_fit,
     core_extract_cancellative,
     core_extract_expansion,
@@ -98,18 +100,21 @@ def reference_local_search(h, links, labels, ell):
     return labels, current
 
 
-def reference_partition_fit(h, ell, cap, mode, seed):
-    """`partition_fit` with the heuristic scored edge by edge: the same
-    greedy order, seeded shuffles, restarts and tie-breaks."""
-    exact = mode == "exact"
-    order = sorted(range(h.n), key=lambda v: (-h.degrees[v], v))
+def fit_order(h):
+    return sorted(range(h.n), key=lambda v: (-h.degrees[v], v))
+
+
+def reference_heuristic(h, ell, cap, restarts, seed):
+    """The heuristic scored edge by edge: the same greedy order, seeded
+    shuffles, restarts and tie-breaks. Returns its labels and removals."""
+    order = fit_order(h)
     links = [
         [tuple(u for u in h.edges[i] if u != v) for i in h.incidence[v]]
         for v in range(h.n)
     ]
     rng = random.Random(seed)
     best_labels, best = None, len(h.edges) + 1
-    for attempt in range(4 if exact else 20):
+    for attempt in range(restarts):
         seeding = order.copy()
         if attempt > 0:
             rng.shuffle(seeding)
@@ -120,17 +125,59 @@ def reference_partition_fit(h, ell, cap, mode, seed):
         labels, removed = reference_local_search(h, links, labels, ell)
         if removed < best:
             best_labels, best = labels, removed
+    return best_labels, best
+
+
+def reference_partition_fit(h, ell, cap, mode, seed):
+    """`partition_fit` with the heuristic scored edge by edge."""
+    exact = mode == "exact"
+    best_labels, best = reference_heuristic(h, ell, cap, 4 if exact else 20, seed)
     if exact:
-        best_labels, best = _fit_branch_and_bound(h, ell, cap, order, best_labels, best)
+        best_labels, best = _fit_branch_and_bound(h, ell, cap, fit_order(h), best_labels, best)
     return _fit_result(h, ell, best_labels, best, optimal=exact)
 
 
+def reference_branch_and_bound(h, ell, cap, labels, best):
+    """What the branch-and-bound returns from the incumbent (`labels`,
+    `best`), by a recursion over every labelling in its label order: parts
+    up to one past the largest used so far (at most ell-1) while fewer than
+    `cap` vertices are in, then OUT when n > cap. The first labelling that
+    `_removed_count` scores strictly below the incumbent replaces it."""
+    order = fit_order(h)
+    path = [OUT] * h.n
+    found = [labels, best]
+
+    def visit(pos, in_count, max_part):
+        if pos == h.n:
+            removed = _removed_count(h, path)
+            if removed < found[1]:
+                found[:] = path.copy(), removed
+            return
+        parts = range(min(max_part + 1, ell - 1) + 1) if in_count < cap else ()
+        for p in [*parts, OUT] if h.n > cap else parts:
+            path[order[pos]] = p
+            visit(pos + 1, in_count + (p != OUT), max(max_part, p))
+
+    visit(0, 0, -1)
+    return tuple(found)
+
+
+def removed_among_placed(h, labels):
+    """Edges with a vertex labelled OUT or two in one part; a vertex
+    labelled None is not placed and breaks nothing."""
+    removed = 0
+    for e in h.edges:
+        got = [labels[v] for v in e if labels[v] is not None]
+        removed += OUT in got or len(set(got)) != len(got)
+    return removed
+
+
 @st.composite
-def pinned_fit_instances(draw):
-    """Random r-graphs, r 1..4, on 0..9 vertices, with any part count 1..4
-    (so also ell < r), any cap 0..n+1, a seed and a mode."""
+def pinned_fit_instances(draw, n_max=9):
+    """Random r-graphs, r 1..4, on 0..n_max vertices, with any part count
+    1..4 (so also ell < r), any cap 0..n+1, a seed and a mode."""
     r = draw(st.integers(1, 4))
-    n = draw(st.integers(0, 9))
+    n = draw(st.integers(0, n_max))
     candidates = list(itertools.combinations(range(n), r))
     edges = []
     if candidates:
@@ -253,6 +300,44 @@ class TestPartitionFit:
         assert partition_fit(h, ell, cap, mode=mode, seed=seed) == reference_partition_fit(
             h, ell, cap, mode, seed
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(pinned_fit_instances(n_max=7))
+    def test_exact_returns_the_first_labelling_that_beats_the_incumbent(self, instance):
+        """Exact mode returns the very labelling (parts and subset) that a
+        full recursion in the branch-and-bound's label order keeps, not only
+        one with the least removals. From no incumbent at all the first
+        complete labelling is kept, so the label order shows too."""
+        h, ell, cap, _, seed = instance
+        labels, removed = reference_branch_and_bound(
+            h, ell, cap, *reference_heuristic(h, ell, cap, 4, seed))
+        assert partition_fit(h, ell, cap, mode="exact", seed=seed) == _fit_result(
+            h, ell, labels, removed, optimal=True)
+        none = (None, len(h.edges) + 1)
+        assert _fit_branch_and_bound(h, ell, cap, fit_order(h), *none) == (
+            reference_branch_and_bound(h, ell, cap, *none))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pinned_fit_instances(), st.data())
+    def test_cost_vectors_are_removal_increases(self, instance, data):
+        """On a partial labelling (None = not placed), costs_of(v, own)[p]
+        is the increase in removals among placed vertices when v, taken
+        out of the codes, takes label p; OUT is the last entry."""
+        h, ell, _, _, _ = instance
+        labels = data.draw(st.lists(
+            st.sampled_from([None, OUT, *range(ell)]), min_size=h.n, max_size=h.n))
+        _, unit, removals, costs_of, move = _edge_codes(h, ell)
+        for v, p in enumerate(labels):
+            if p is not None:
+                move(v, unit[p])
+        assert removals() == removed_among_placed(h, labels)
+        for v in range(h.n):
+            costs = costs_of(v, 0 if labels[v] is None else unit[labels[v]])
+            assert len(costs) == ell + 1
+            unplaced = removed_among_placed(h, [*labels[:v], None, *labels[v + 1:]])
+            for p in [*range(ell), OUT]:
+                moved = [*labels[:v], p, *labels[v + 1:]]
+                assert costs[p] == removed_among_placed(h, moved) - unplaced
 
     def test_zero_removed_iff_multipartite_subgraph(self, t6):
         fit = partition_fit(t6, 3, 6)
