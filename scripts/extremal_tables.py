@@ -27,7 +27,7 @@ def main(argv=None) -> None:
     print(f"{'family':>14} {'n':>3} {'max':>4} {'unique':>7} "
           f"{'labelled':>9} {'turan?':>7} {'secs':>7}")
     for family in families:
-        ell = family.ell if isinstance(family, Expansion) else 3
+        ell = family.parts(3)
         for n in range(3, args.n_max + 1):
             if n < ell:
                 continue

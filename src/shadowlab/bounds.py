@@ -137,8 +137,7 @@ def shadow_bound(
         return x, falling_binomial(x, r)
     # Theorem 3's bound is Theorem 6's at ell = r: C(r, r-1) (x/r)^(r-1) is
     # x^(r-1) / r^(r-2), and C(r, r) (x/r)^r is (x/r)^r.
-    ell = r if isinstance(family, Cancellative) else family.ell
-    return expansion_bound(shadow_size, ell, r)
+    return expansion_bound(shadow_size, family.parts(r), r)
 
 
 def bound_report_for(h: Hypergraph, family: Optional[Family]) -> BoundReport:

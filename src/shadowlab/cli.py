@@ -32,7 +32,7 @@ from .errors import (
     ShadowlabError,
 )
 from .extremal import enumerate_free, extremal_search, verify_bound_over_enumeration
-from .forbidden import Cancellative, Expansion, violation
+from .forbidden import Cancellative, Expansion
 from .hypercore import Hypergraph, shadow_i
 from .stability import stability_certificate
 
@@ -285,7 +285,7 @@ def _cmd_shadow(args) -> tuple[int, Optional[str], list]:
 def _cmd_check(args) -> tuple[int, Optional[str], list]:
     h, digest = _read_input(args.input)
     fam = _family(args.family, args.l, h.r)
-    w = violation(h, fam)
+    w = fam.violation(h)
     payload = {"type": "freeness", "family": str(fam), "free": w is None,
                "witness": _jsonable(w) if w is not None else None}
     return (EXIT_OK if w is None else EXIT_CHECK_FAILED), digest, [payload]

@@ -104,7 +104,7 @@ def _cells_by_key(colours: list[int], keys: list) -> int:
 
 def canonical_form(h: Hypergraph) -> bytes:
     """A canonical byte string per isomorphism class: the least certificate
-    of the search `canonical_search` runs, decoded to the sorted list of its
+    of the search `_least_leaf` runs, decoded to the sorted list of its
     edges."""
     return _encode(h.r, h.n, _least_leaf(h)[0])
 
@@ -115,20 +115,15 @@ def _encode(r: int, n: int, certificate: tuple[int, ...]) -> bytes:
     return f"{r}/{n}:{payload}".encode()
 
 
-def canonical_search(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]], list[int], int]:
-    """The certificate of h, the automorphisms the search found, its least
-    leaf's labelling (vertex v to `labelling[v]`; empty when h has no edge),
-    which maps h's edges onto the certificate, and |Aut(h)|. Graphs on the
-    same n and r are isomorphic exactly when their certificates are equal.
-    Each automorphism fixes every isolated vertex; with the symmetric group
-    on those they generate Aut(h), and alone they give its edge orbits."""
-    return _least_leaf(h)
-
-
 def _least_leaf(h: Hypergraph) -> tuple[tuple[int, ...], list[list[int]], list[int], int]:
     """The least certificate of an individualization-refinement search
     (McKay and Piperno, "Practical graph isomorphism, II", 2014), the
-    automorphisms it found, the least leaf's labelling and |Aut(h)|.
+    automorphisms it found, the least leaf's labelling (vertex v to
+    `labelling[v]`; empty when h has no edge), which maps h's edges onto the
+    certificate, and |Aut(h)|. Graphs on the same n and r are isomorphic
+    exactly when their certificates are equal. Each automorphism fixes every
+    isolated vertex; with the symmetric group on those they generate
+    Aut(h), and alone they give its edge orbits.
 
     Each node refines its partition, then individualizes in turn each vertex
     of the first non-singleton cell of non-isolated vertices. Isolated
@@ -402,7 +397,7 @@ def _free_classes(
                 if any(sorted(map(degree.__getitem__, f)) > key for f in rep.edges):
                     continue  # e is not top-key, so not the canonical deletion
                 child = Hypergraph(r, n, tuple(sorted(rep.edges + (e,))))
-                certificate, child_generators, labelling, order = canonical_search(child)
+                certificate, child_generators, labelling, order = _least_leaf(child)
                 deletion = min(
                     (x for x in child.edge_masks
                      if sorted(map(degree.__getitem__, vertices[x])) == key),

@@ -33,7 +33,13 @@ from .hypercore import Hypergraph, cliques, mask_to_tuple
 
 @dataclass(frozen=True)
 class Cancellative:
-    """Marker for the cancellative (triple-free) family."""
+    """The cancellative (triple-free) family, extremal at r parts."""
+
+    def parts(self, r: int) -> int:
+        return r
+
+    def violation(self, h: Hypergraph) -> Optional[Witness]:
+        return find_cancellative_violation(h)
 
     def __str__(self) -> str:
         return "cancellative"
@@ -41,9 +47,15 @@ class Cancellative:
 
 @dataclass(frozen=True)
 class Expansion:
-    """Marker for the clique-expansion family with core size ell+1."""
+    """The clique-expansion family with core size ell+1, extremal at ell parts."""
 
     ell: int
+
+    def parts(self, r: int) -> int:
+        return self.ell
+
+    def violation(self, h: Hypergraph) -> Optional[Witness]:
+        return find_clique_expansion(h, self.ell)
 
     def __str__(self) -> str:
         return f"expansion({self.ell})"
@@ -160,22 +172,15 @@ def brute_force_clique_expansion(h: Hypergraph, ell: int) -> Optional[tuple[int,
     return None
 
 
-def violation(h: Hypergraph, family: Family) -> Optional[Witness]:
-    """The witness of the family's finder, None iff H is family-free."""
-    if isinstance(family, Cancellative):
-        return find_cancellative_violation(h)
-    return find_clique_expansion(h, family.ell)
-
-
 def is_free(h: Hypergraph, family: Family) -> bool:
-    """Thin predicate over `violation`."""
-    return violation(h, family) is None
+    """Thin predicate over `family.violation`."""
+    return family.violation(h) is None
 
 
 def require_free(h: Hypergraph, family: Family) -> None:
     """Raise PreconditionError, carrying the witness, unless H is
     family-free: the one check behind every routine that assumes it."""
-    w = violation(h, family)
+    w = family.violation(h)
     if w is None:
         return
     if w.kind == "cancellative-triple":

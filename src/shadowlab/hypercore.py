@@ -309,7 +309,7 @@ def z_value(h: Hypergraph, ell: int) -> ZValue:
     budget = (ell - h.r + 1) * shadow_size
     best: Fraction | None = None
     witness: tuple[int, ...] = ()
-    for r_set in clique_set(h, ell - 1).all():
+    for r_set in clique_set(h, min(ell - 1, h.n)).all():  # no larger clique exists
         ratio = Fraction(budget - sigma(h, r_set), ell - len(r_set))
         if best is None or ratio < best:
             best = ratio

@@ -83,14 +83,16 @@ def partition_fit(
     labelling as an upper bound flagged non-optimal; exact mode hands it to
     branch-and-bound over vertex labelings as the incumbent to beat; any n
     is tried, and `ResourceBudgetError` is raised past `FIT_NODE_BUDGET`
-    nodes. Both score from one code per edge (`_edge_codes`). With fewer
-    parts than r no edge is transversal, so every labelling removes all
-    edges and exact mode keeps the heuristic's fit without a search.
+    nodes. Both score from one code per edge (`_edge_codes`). At most cap
+    parts can be nonempty, so the fit has max(1, min(ell, cap)) parts. With
+    fewer parts than r no edge is transversal, so every labelling removes
+    all edges and exact mode keeps the heuristic's fit without a search.
     """
     if ell < 1 or cap < 0:
         raise ParameterError(f"need ell >= 1 and cap >= 0, got ell={ell}, cap={cap}")
     if mode not in ("exact", "heuristic"):
         raise ParameterError(f"unknown mode {mode!r}")
+    ell = max(1, min(ell, cap))
     exact = mode == "exact"
     order = sorted(range(h.n), key=lambda v: (-h.degrees[v], v))
     labels, removed = _fit_heuristic(h, ell, cap, order, seed, 4 if exact else 20)
@@ -357,25 +359,23 @@ def stability_certificate(
     """Per-instance check of the stability conclusion shape: solve x from
     the shadow, test the near-extremal hypothesis, extract the core, fit an
     ell-partition on at most ceil(x) vertices, and compare the removals
-    against delta x^r."""
+    against delta x^r. Each path checks freeness once: the core extraction
+    does when the hypothesis holds."""
     if not 0 < eps < 1 or not 0 <= delta < math.inf:
         raise ParameterError(
             f"need 0 < eps < 1 and finite delta >= 0, got eps={eps}, delta={delta}"
         )
-    require_free(h, family)
     report = bound_report_for(h, family)
-    ell_parts = h.r if isinstance(family, Cancellative) else family.ell
     removed_cap = delta * report.x ** h.r
     cert = StabilityCertificate(
-        str(family), ell_parts, report, eps, delta,
+        str(family), family.parts(h.r), report, eps, delta,
         hypothesis_met=False, status="hypothesis-not-met", removed_cap=removed_cap,
     )
     if not at_most((1 - eps) * report.bound, report.actual):
+        require_free(h, family)
         return cert
-    if isinstance(family, Cancellative):
-        core = core_extract_cancellative(h, eps)
-    else:
-        core = core_extract_expansion(h, family.ell, eps)
-    fit = partition_fit(h, ell_parts, math.ceil(report.x), mode=mode, seed=seed)
+    core = (core_extract_cancellative(h, eps) if isinstance(family, Cancellative)
+            else core_extract_expansion(h, family.ell, eps))
+    fit = partition_fit(h, cert.ell_parts, math.ceil(report.x), mode=mode, seed=seed)
     status = "ok" if at_most(fit.removed, removed_cap) else "removed-exceeds-cap"
     return replace(cert, hypothesis_met=True, status=status, core=core, fit=fit)

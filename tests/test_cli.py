@@ -384,6 +384,32 @@ class TestCommands:
         result = load_report(out)["results"][0]
         assert result["passed"] is True and result["status"] == "ok"
 
+    def test_huge_ell(self, tmp_path):
+        """An expansion ell far above n costs no more than one just above
+        it: z reads cliques of at most n vertices, and the fit uses at most
+        cap = ceil(x) parts."""
+        hg = tmp_path / "k.hg"
+        hg.write_text(serialize(complete(12, 3)))
+        out = tmp_path / "r.json"
+        assert run(["lemmas", "--input", str(hg), "--family", "expansion",
+                    "--l", "100000000", "--out", str(out)]) == EXIT_OK
+        assert run(["stability", "--input", str(hg), "--family", "expansion",
+                    "--l", "100000", "--eps", "0.2", "--delta", "0.2",
+                    "--mode", "heuristic", "--out", str(out)]) == EXIT_OK
+        result = load_report(out)["results"][0]
+        assert result["passed"] and result["ell_parts"] == 100000
+        assert len(result["fit"]["parts"]) == 12
+
+    def test_non_free_below_the_hypothesis(self, tmp_path):
+        # A cancellative triple plus ten disjoint edges misses the
+        # hypothesis by far, and is still refused as not cancellative.
+        hg = tmp_path / "h.hg"
+        edges = [(0, 1, 2), (0, 1, 3), (2, 3, 4)] + [(v, v + 1, v + 2) for v in range(5, 35, 3)]
+        hg.write_text(serialize(Hypergraph.build(3, 35, edges)))
+        assert run(["stability", "--input", str(hg), "--family", "cancellative",
+                    "--eps", "0.05", "--delta", "0.05",
+                    "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
+
     def test_fraction_serialization(self, tmp_path):
         hg = write_turan(tmp_path / "t.hg")
         out = tmp_path / "r.json"

@@ -101,7 +101,7 @@ class TestCanonicalForm:
     @given(data=st.data())
     def test_search_generators_are_automorphisms(self, data):
         """r in 1..4 and n in 0..7, empty graphs and isolated vertices
-        included: each generator `canonical_search` returns is a vertex
+        included: each generator `_least_leaf` returns is a vertex
         permutation that maps the edge set onto itself and fixes every
         isolated vertex, and the labelling maps the edges onto the
         certificate."""
@@ -110,7 +110,7 @@ class TestCanonicalForm:
         candidates = list(itertools.combinations(range(n), r))
         m = data.draw(st.integers(0, len(candidates)), label="m")
         h = Hypergraph.build(r, n, data.draw(st.permutations(candidates))[:m])
-        certificate, generators, labelling, _ = extremal.canonical_search(h)
+        certificate, generators, labelling, _ = extremal._least_leaf(h)
         assert _encode_certificate(h, certificate) == canonical_form(h)
         assert tuple(sorted(sum(1 << labelling[v] for v in e) for e in h.edges)) == certificate
         edges = set(h.edges)
@@ -135,7 +135,7 @@ class TestCanonicalForm:
         candidates = list(itertools.combinations(range(n), r))
         m = data.draw(st.integers(0, len(candidates)), label="m")
         h = Hypergraph.build(r, n, data.draw(st.permutations(candidates))[:m])
-        _, generators, _, order = extremal.canonical_search(h)
+        _, generators, _, order = extremal._least_leaf(h)
         edges = set(h.edges)
         edge_maps = [  # each automorphism's action on the edges
             action for action in (
@@ -157,7 +157,7 @@ class TestCanonicalForm:
     def test_group_orders_count_the_labelled_graphs(self, n, r):
         """Orbit-stabilizer over all r-graphs on n vertices: n!/|Aut(C)|
         summed over the classes C is the 2^C(n, r) labelled graphs."""
-        orders = [extremal.canonical_search(h)[3] for h in enumerate_free_classes(n, r, None)]
+        orders = [extremal._least_leaf(h)[3] for h in enumerate_free_classes(n, r, None)]
         assert sum(math.factorial(n) // order for order in orders) == 2 ** math.comb(n, r)
 
     def test_thirteen_vertex_path(self):
@@ -176,7 +176,7 @@ class TestCanonicalForm:
             "012 014 023 025 026 036 046 057 067 124 126 127 134 136 145 157 "
             "234 257 346 347 356 357 457 567").split()])
         moved = relabel(h, (0, 1, 2, 3, 4, 6, 7, 5))
-        assert extremal.canonical_search(h)[3] == 6
+        assert extremal._least_leaf(h)[3] == 6
         assert canonical_form(moved) == canonical_form(h)
         assert are_isomorphic(h, moved)
 
@@ -391,7 +391,7 @@ class TestEnumeration:
                     considered.setdefault((self.r, frozenset(pushed)), []).append(mask)
                 return violates
 
-        search = extremal.canonical_search
+        search = extremal._least_leaf
 
         def counted(h):
             parent = frozenset(pushed)
@@ -407,7 +407,7 @@ class TestEnumeration:
         for r in (3, 2):
             with monkeypatch.context() as patch:
                 patch.setattr(extremal, "IncrementalFreeChecker", Traced)
-                patch.setattr(extremal, "canonical_search", counted)
+                patch.setattr(extremal, "_least_leaf", counted)
                 reps = enumerate_free_classes(6, r, family)
             for h in reps:
                 edges = set(h.edges)
@@ -493,13 +493,13 @@ class TestExtremalSearch:
         """|Aut| comes with each class from the engine's own search, so the
         extremal search makes no more canonical searches than the engine."""
         calls = []
-        search = extremal.canonical_search
+        search = extremal._least_leaf
 
         def counted(h):
             calls.append(h)
             return search(h)
 
-        monkeypatch.setattr(extremal, "canonical_search", counted)
+        monkeypatch.setattr(extremal, "_least_leaf", counted)
         enumerate_free_classes(6, 3, family)
         engine = len(calls)
         extremal_search(6, 3, family)

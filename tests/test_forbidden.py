@@ -26,7 +26,6 @@ from shadowlab.forbidden import (
     brute_force_cancellative_violation,
     brute_force_clique_expansion,
     require_free,
-    violation,
 )
 
 ALL_TRIPLES_N5 = list(itertools.combinations(range(5), 3))
@@ -147,19 +146,28 @@ class TestIsFree:
         assert is_free(h, Cancellative())
         assert is_free(h, Expansion(3))
 
-    def test_violation_dispatch(self, k4):
-        assert violation(k4, Cancellative()).kind == "cancellative-triple"
-        assert violation(k4, Expansion(3)).kind == "covered-clique"
+    def test_violation_dispatch(self, k4, t6):
+        """Each family's `violation` is its finder, and `parts` its
+        extremal part count: r for cancellative graphs, ell for expansions."""
+        assert Cancellative().violation(k4).kind == "cancellative-triple"
+        assert Expansion(3).violation(k4).kind == "covered-clique"
+        for h in (k4, t6, fano(), complete(6, 4), Hypergraph.build(3, 5, [])):
+            assert Cancellative().violation(h) == find_cancellative_violation(h)
+            for ell in range(h.r, 7):
+                assert Expansion(ell).violation(h) == find_clique_expansion(h, ell)
+        for r in (2, 3, 4):
+            assert Cancellative().parts(r) == r
+            assert [Expansion(ell).parts(r) for ell in (r, r + 1, 10 ** 8)] == [r, r + 1, 10 ** 8]
 
     def test_require_free(self, t6, k4):
         require_free(t6, Cancellative())
         require_free(t6, Expansion(3))
         with pytest.raises(PreconditionError, match="^hypergraph is not cancellative$") as err:
             require_free(k4, Cancellative())
-        assert err.value.witness == violation(k4, Cancellative())
+        assert err.value.witness == find_cancellative_violation(k4)
         with pytest.raises(PreconditionError, match="^hypergraph contains a 2-covered 4-set$") as err:
             require_free(k4, Expansion(3))
-        assert err.value.witness == violation(k4, Expansion(3))
+        assert err.value.witness == find_clique_expansion(k4, 3)
 
     def test_freeness_monotone_under_removal(self):
         rng = random.Random(3)

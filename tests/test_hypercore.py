@@ -307,8 +307,17 @@ class TestZValue:
         with pytest.raises(EmptyInputError):
             z_value(Hypergraph.build(3, 4, []), 3)
 
+    def test_huge_ell(self):
+        # No clique has more than n vertices, so ell = 10^8 reads only
+        # the cliques of clique_set(h, n).
+        h, ell = complete(12, 3), 10 ** 8
+        budget = (ell - 2) * len(shadow(h))
+        zv = z_value(h, ell)
+        assert zv.z == min(
+            Fraction(budget - sigma(h, s), ell - len(s)) for s in clique_set(h, 12).all())
+
     @settings(max_examples=40, deadline=None)
-    @given(small_hypergraphs(max_n=6), st.integers(3, 5))
+    @given(small_hypergraphs(max_n=6), st.integers(3, 9))
     def test_definition_invariant(self, h, ell):
         """Every small clique satisfies the constraint at the returned z and
         the witness attains it (unless clamped)."""

@@ -13,12 +13,13 @@ from shadowlab import (
     Expansion,
     Hypergraph,
     complete,
+    forbidden,
     perturb,
     stability,
     turan,
     turan_padded,
 )
-from shadowlab.bounds import bound_report_for, lemma9_check
+from shadowlab.bounds import at_most, bound_report_for, lemma9_check
 from shadowlab.errors import (
     ParameterError,
     PreconditionError,
@@ -129,12 +130,18 @@ def reference_heuristic(h, ell, cap, restarts, seed):
 
 
 def reference_partition_fit(h, ell, cap, mode, seed):
-    """`partition_fit` with the heuristic scored edge by edge."""
+    """`partition_fit` with the heuristic scored edge by edge, searching
+    all ell parts; the fit lists the `fit_parts(ell, cap)` it may use."""
     exact = mode == "exact"
     best_labels, best = reference_heuristic(h, ell, cap, 4 if exact else 20, seed)
     if exact:
         best_labels, best = _fit_branch_and_bound(h, ell, cap, fit_order(h), best_labels, best)
-    return _fit_result(h, ell, best_labels, best, optimal=exact)
+    return _fit_result(h, fit_parts(ell, cap), best_labels, best, optimal=exact)
+
+
+def fit_parts(ell, cap):
+    """At most cap parts can be nonempty, and a fit has at least one."""
+    return max(1, min(ell, cap))
 
 
 def reference_branch_and_bound(h, ell, cap, labels, best):
@@ -221,6 +228,21 @@ class TestPartitionFit:
         h = Hypergraph.build(3, 16, rng.sample(list(itertools.combinations(range(16), 3)), 160))
         fit = partition_fit(h, 2, 11)
         assert fit.removed == 160 and fit.optimal
+
+    def test_more_parts_than_cap(self):
+        """At most cap parts can be nonempty, so a fit with ell > cap is the
+        fit with cap parts (one when cap is 0), and a huge ell costs nothing:
+        exact mode still reaches the optimum over all ell + 1 labels."""
+        rng = random.Random(7)
+        triples = list(itertools.combinations(range(5), 3))
+        for _ in range(40):
+            h = Hypergraph.build(3, 5, rng.sample(triples, rng.randint(1, 10)))
+            cap = rng.randint(0, 5)
+            for mode in ("exact", "heuristic"):
+                fit = partition_fit(h, max(1, cap), cap, mode)
+                for ell in (cap + 1, cap + 2, 10 ** 6):
+                    assert partition_fit(h, ell, cap, mode) == fit
+            assert fit.removed == brute_force_partition_fit(h, cap + 1, cap)
 
     def test_cap_forces_vertices_out(self, t6):
         fit = partition_fit(t6, 3, 5)
@@ -312,7 +334,7 @@ class TestPartitionFit:
         labels, removed = reference_branch_and_bound(
             h, ell, cap, *reference_heuristic(h, ell, cap, 4, seed))
         assert partition_fit(h, ell, cap, mode="exact", seed=seed) == _fit_result(
-            h, ell, labels, removed, optimal=True)
+            h, fit_parts(ell, cap), labels, removed, optimal=True)
         none = (None, len(h.edges) + 1)
         assert _fit_branch_and_bound(h, ell, cap, fit_order(h), *none) == (
             reference_branch_and_bound(h, ell, cap, *none))
@@ -485,6 +507,48 @@ class TestCertificate:
     def test_rejects_non_free(self, k4):
         with pytest.raises(PreconditionError):
             stability_certificate(k4, Cancellative(), 0.05, 0.05)
+
+    @pytest.mark.parametrize("h, met", [
+        (turan(6, 3, 3)[0], True),
+        (Hypergraph.build(3, 6, [(0, 1, 2), (3, 4, 5)]), False),
+        (complete(4, 3), True),
+        # {2,3} lies in (2,3,4), and {0,1,2,3} is 2-covered; ten disjoint
+        # edges more keep |H| far below (1 - eps) times the bound
+        (Hypergraph.build(3, 35, [(0, 1, 2), (0, 1, 3), (2, 3, 4)]
+                          + [(v, v + 1, v + 2) for v in range(5, 35, 3)]), False),
+    ], ids=["turan-met", "sparse-not-met", "k4-met", "triple-not-met"])
+    @pytest.mark.parametrize("family", [Cancellative(), Expansion(3)], ids=str)
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_one_freeness_check_per_certificate(self, h, met, family, mode, monkeypatch):
+        """The family's detector runs exactly once per certificate, whether
+        the hypothesis holds or not; a graph that is not free raises
+        PreconditionError with the detector's witness on either path."""
+        report = bound_report_for(h, family)
+        assert at_most(0.95 * report.bound, report.actual) == met
+        witness = family.violation(h)
+        calls = []
+        for name in ("find_cancellative_violation", "find_clique_expansion"):
+            finder = getattr(forbidden, name)
+            monkeypatch.setattr(forbidden, name, lambda *a, f=finder, name=name: (
+                calls.append(name), f(*a))[1])
+        if witness is None:
+            assert stability_certificate(h, family, 0.05, 0.05, mode=mode).hypothesis_met == met
+        else:
+            with pytest.raises(PreconditionError) as err:
+                stability_certificate(h, family, 0.05, 0.05, mode=mode)
+            assert err.value.witness == witness
+        expected = ("find_cancellative_violation" if isinstance(family, Cancellative)
+                    else "find_clique_expansion")
+        assert calls == [expected]
+
+    def test_huge_ell_fits_on_cap_parts(self):
+        # With ell far above cap = ceil(x) = 12, the fit has 12 parts; the
+        # certificate still names ell.
+        h = complete(12, 3)
+        for mode in ("exact", "heuristic"):
+            cert = stability_certificate(h, Expansion(10 ** 5), 0.2, 0.2, mode=mode)
+            assert cert.passed and cert.ell_parts == 10 ** 5
+            assert len(cert.fit.parts) == 12 and cert.fit.removed == 0
 
     @pytest.mark.parametrize("eps, delta", [
         (-1, 0.05), (0, 0.05), (1, 0.05), (2, 0.05), (math.nan, 0.05),
