@@ -19,7 +19,7 @@ import sys
 import time
 from itertools import islice, repeat
 from operator import contains
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from . import __version__
 from .bounds import bound_report_for, lemma14_check, lemma9_check
@@ -57,8 +57,20 @@ def parse(data: bytes) -> Hypergraph:
     with a non-integer token, all at once, and names its first bad edge by
     index; if it accepts them, that line is the error. So the error is
     always the first bad line's, as a line-by-line reader would find it,
-    and line numbers are counted only once an error is raised."""
+    and line numbers are counted only once an error is raised.
+
+    A document in the exact format `serialize` writes (see `_serialized`)
+    is read whole instead, as one byte string: edge i is line i + 2. The
+    graph, or the error and its line, is the same either way."""
     text = data.decode("utf-8").removeprefix("\ufeff")
+    whole = _serialized(data)
+    if whole is not None:
+        try:
+            return Hypergraph.build(*whole)
+        except EdgeError as exc:
+            raise EdgeListParseError(exc.index + 2, str(exc)) from None
+        except ParameterError as exc:
+            raise EdgeListParseError(1, str(exc)) from None
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if "#" in text:
         lines = ["" if line.lstrip().startswith("#") else line for line in lines]
@@ -92,11 +104,44 @@ def parse(data: bytes) -> Hypergraph:
     raise EdgeListParseError(at, message or f"non-integer token in {line!r}")
 
 
+def _serialized(data: bytes) -> Optional[tuple[int, int, Iterator[tuple[int, ...]]]]:
+    """(r, n, edge rows) of a document in the exact format `serialize`
+    writes, or None for any other document: a header of two ASCII digit
+    tokens, then lines of r such tokens, one space between tokens, LF line
+    ends, no blank or comment line; a leading byte-order mark and a final
+    newline are allowed.
+
+    With its digits deleted, such a body is r-1 spaces per line joined by
+    LFs, and its lines*r - 1 separators leave lines*r tokens only if no
+    run between them is empty. The lengths are compared first, so a huge
+    r from the header allocates nothing."""
+    head, _, body = data.removeprefix(b"\xef\xbb\xbf").partition(b"\n")
+    header = head.split(b" ")
+    if len(header) != 2 or not all(map(bytes.isdigit, header)):
+        return None
+    value = _IntOf()
+    r, n = map(value.__getitem__, header)
+    flat: list = []
+    if body and r is not None:
+        body = body.removesuffix(b"\n")
+        lines = body.count(b"\n") + 1
+        gaps = body.translate(None, b"0123456789")
+        if (len(gaps) != lines * r - 1
+                or gaps != (b" " * (r - 1) + b"\n") * (lines - 1) + b" " * (r - 1)):
+            return None
+        flat = list(map(value.__getitem__, body.split()))
+        if len(flat) != lines * r:
+            return None
+    if None in value.values():  # a token past int's digit limit
+        return None
+    return r, n, zip(*[iter(flat)] * r)
+
+
 class _IntOf(dict):
     """int(token), or None for a non-integer token, memoized: an edge list
     repeats a few distinct tokens."""
 
-    def __missing__(self, token: str) -> Optional[int]:
+    def __missing__(self, token: str | bytes) -> Optional[int]:
         try:
             value = int(token)
         except ValueError:

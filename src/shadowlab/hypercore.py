@@ -16,7 +16,9 @@ from itertools import chain, combinations, count, islice, repeat
 from operator import ge, lt, ne, not_
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EdgeError, EmptyInputError, ParameterError
+from .errors import EdgeError, EmptyInputError, ParameterError, ResourceBudgetError
+
+Z_VALUE_NODE_BUDGET = 10 ** 6  # cliques one z_value may visit
 
 
 def _mask(edge: Iterable[int]) -> int:
@@ -299,7 +301,9 @@ def z_value(h: Hypergraph, ell: int) -> ZValue:
     nonempty 2-covered R of size <= l-1, as an exact rational.
 
     The witness is the binding clique, ties broken by (size, lexicographic).
-    The empty set is excluded from the minimization.
+    The empty set is excluded from the minimization. The cliques are walked
+    one at a time, none kept, and a walk past Z_VALUE_NODE_BUDGET cliques
+    raises `ResourceBudgetError`.
     """
     if ell < h.r:
         raise ParameterError(f"ell must be >= r={h.r}, got {ell}")
@@ -309,11 +313,16 @@ def z_value(h: Hypergraph, ell: int) -> ZValue:
     budget = (ell - h.r + 1) * shadow_size
     best: Fraction | None = None
     witness: tuple[int, ...] = ()
-    for r_set in clique_set(h, min(ell - 1, h.n)).all():  # no larger clique exists
+    adj, full = h.pair_adjacency, (1 << h.n) - 1
+    sizes = range(1, min(ell - 1, h.n) + 1)  # no larger clique exists
+    walk = chain.from_iterable(cliques(adj, (), full, k) for k in sizes)
+    for r_set in islice(walk, Z_VALUE_NODE_BUDGET):
         ratio = Fraction(budget - sigma(h, r_set), ell - len(r_set))
         if best is None or ratio < best:
             best = ratio
             witness = r_set
+    if next(walk, None) is not None:
+        raise ResourceBudgetError.nodes("z_value", Z_VALUE_NODE_BUDGET)
     if best is None:
         raise RuntimeError(f"no nonempty 2-covered set of size <= {ell - 1}")
     if best < 0:

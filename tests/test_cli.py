@@ -7,13 +7,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowlab import Cancellative, Expansion, Hypergraph, cli, complete, extremal, shadow, turan
+from shadowlab import (
+    Cancellative, Expansion, Hypergraph, cli, complete, extremal, hypercore, shadow, turan,
+)
 from shadowlab.bounds import at_most, shadow_bound
 from shadowlab.cli import (
     EXIT_BUDGET,
@@ -137,6 +140,49 @@ def edge_list_documents(draw):
     return "".join(map(str.__add__, lines, ends)).encode()
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+@st.composite
+def serialized_documents(draw):
+    """A document in the exact format `serialize` writes, with or without a
+    byte-order mark and a final newline, and with up to two faults: a
+    duplicate, a repeated vertex, a vertex >= n, lines or vertices out of
+    order, a header with r = 0, or no edge lines at all. Returns the
+    document and whether it keeps the format (r = 0 over edge lines
+    does not)."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 12))
+    candidates = list(itertools.combinations(range(n), r))
+    rows = [list(e) for e in draw(st.lists(st.sampled_from(candidates), unique=True, max_size=16)
+                                  if candidates else st.just([]))]
+    header_r = r
+    for fault in draw(st.lists(st.sampled_from(
+            ["duplicate", "repeated", "range", "unsorted", "zero", "header-only"]), max_size=2)):
+        if fault == "duplicate" and rows:
+            row = draw(st.sampled_from(rows))
+            row = draw(st.permutations(row)) if draw(st.booleans()) else list(row)
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        elif fault == "repeated" and r > 1 and rows:
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(1, r - 1))] = row[0]
+        elif fault == "range":
+            row = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=r, max_size=r))
+            row[draw(st.integers(0, r - 1))] = draw(st.sampled_from([n, n + 1, n + 7]))
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        elif fault == "unsorted":
+            rows = [draw(st.permutations(row)) for row in draw(st.permutations(rows))]
+        elif fault == "zero":
+            header_r = 0
+        elif fault == "header-only":
+            rows = []
+    text = f"{header_r} {n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    if not draw(st.booleans()):
+        text = text.removesuffix("\n")
+    data = (_BOM if draw(st.booleans()) else b"") + text.encode()
+    return data, header_r > 0 or not rows
+
+
 def parse_outcome(parse_document, data):
     try:
         return parse_document(data)
@@ -233,6 +279,62 @@ class TestEdgeListFormat:
         """The whole-document reader returns the graph, or raises the error
         at the line, that the line-at-a-time reader does."""
         assert parse_outcome(parse, data) == parse_outcome(reference_parse, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(serialized_documents())
+    def test_serialized_documents_read_whole_agree_with_the_line_reader(self, document):
+        """A document in the format `serialize` writes is read whole, and
+        gives the graph, or the error at the line, that the line-at-a-time
+        reader gives."""
+        data, whole = document
+        assert (cli._serialized(data) is not None) == whole
+        assert parse_outcome(parse, data) == parse_outcome(
+            reference_parse, data.removeprefix(_BOM))
+
+    def test_construct_output_is_read_whole(self, tmp_path):
+        values = {"n": "9", "m": "6", "l": "4", "r": "3"}
+        for family, (flags, _) in cli._CONSTRUCTIONS.items():
+            path = tmp_path / f"{family}.hg"
+            argv = ["construct", "--family", family, "--out", str(path)]
+            for flag in flags:
+                argv += [f"--{flag}", values[flag]]
+            assert run(argv) == EXIT_OK
+            data = path.read_bytes()
+            assert cli._serialized(data) is not None, family
+            assert parse(data) == reference_parse(data)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: "# a comment\n" + doc,
+        lambda doc: doc.replace("\n", "\n\n", 1),
+        lambda doc: doc + "\n",
+        lambda doc: doc.replace("0 2", "0\t2"),
+        lambda doc: doc.replace("\n", "\r\n"),
+        lambda doc: doc.replace("\n", "\r"),
+        lambda doc: doc.replace(" 5 ", " +5 "),
+        lambda doc: doc.replace("10", "1_0"),
+        lambda doc: doc.replace("5", "\u0665"),
+        lambda doc: doc.replace("0 2", "0  2"),
+        lambda doc: doc.replace("\n1", " \n1"),
+        lambda doc: doc.replace("\n1", "\n 1"),
+    ], ids=["comment", "blank", "blank-at-end", "tab", "crlf", "cr", "plus", "underscore",
+            "non-ascii-digit", "two-spaces", "trailing-space", "leading-space"])
+    def test_other_documents_go_to_the_line_reader(self, edit):
+        twin = serialize(Hypergraph.build(3, 12, [(0, 2, 11), (1, 5, 10)]))
+        data = edit(twin).encode()
+        assert data != twin.encode()
+        assert cli._serialized(data) is None
+        assert parse(data) == parse(twin.encode())
+
+    def test_huge_uniformity_header_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListParseError) as info:
+                parse(b"1000000000000 5\n0 1 2\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "line 2: expected 1000000000000 vertices, got 3"
+        assert peak < 1 << 20
 
     def test_byte_order_mark_and_crlf(self):
         lf = "# shape\n3 5\n0 1 2\n1 3 4\n"
@@ -443,6 +545,15 @@ class TestExitCodes:
         assert run(argv) == EXIT_BUDGET
         assert capsys.readouterr().err == (
             f"error: orderly engine node budget exceeded ({scans - 1} nodes)\n")
+
+    def test_z_value_budget_exits_3(self, monkeypatch, tmp_path, capsys):
+        # Every one of the 2^24 - 1 vertex sets of K_24^3 is a clique.
+        hg = tmp_path / "k.hg"
+        hg.write_text(serialize(complete(24, 3)))
+        monkeypatch.setattr(hypercore, "Z_VALUE_NODE_BUDGET", 1000)
+        argv = ["lemmas", "--input", str(hg), "--family", "expansion", "--l", "100"]
+        assert run(argv) == EXIT_BUDGET
+        assert capsys.readouterr() == ("", "error: z_value node budget exceeded (1000 nodes)\n")
 
     def test_memory_exhausted_exits_3(self, monkeypatch, capsys):
         def exhaust(*args):

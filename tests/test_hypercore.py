@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from shadowlab import (
     Hypergraph,
+    hypercore,
     clique_set,
     complete,
     is_two_covered,
@@ -25,7 +26,7 @@ from shadowlab import (
     turan,
     z_value,
 )
-from shadowlab.errors import EdgeError, EmptyInputError, ParameterError
+from shadowlab.errors import EdgeError, EmptyInputError, ParameterError, ResourceBudgetError
 
 from conftest import reference_build
 
@@ -315,6 +316,33 @@ class TestZValue:
         zv = z_value(h, ell)
         assert zv.z == min(
             Fraction(budget - sigma(h, s), ell - len(s)) for s in clique_set(h, 12).all())
+
+    def test_node_budget(self, monkeypatch):
+        """The walk passes at its exact clique count and raises one below:
+        K_12^3 has 2^12 - 1 nonempty cliques, all of at most 12 vertices."""
+        h, ell, cliques = complete(12, 3), 10 ** 8, 2 ** 12 - 1
+        expected = z_value(h, ell)
+        monkeypatch.setattr(hypercore, "Z_VALUE_NODE_BUDGET", cliques)
+        assert z_value(h, ell) == expected
+        monkeypatch.setattr(hypercore, "Z_VALUE_NODE_BUDGET", cliques - 1)
+        with pytest.raises(ResourceBudgetError, match=r"^z_value node budget exceeded") as info:
+            z_value(h, ell)
+        assert info.value.partial == {"nodes": cliques - 1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_hypergraphs(max_n=6), st.integers(3, 9))
+    def test_streamed_minimum_matches_the_clique_set(self, h, ell):
+        """The streamed walk finds the minimum and the (size, lexicographic)
+        first witness that a scan of the whole clique set does."""
+        if not h.edges:
+            return
+        budget = (ell - h.r + 1) * len(shadow(h))
+        sets = list(clique_set(h, min(ell - 1, h.n)).all())
+        ratios = [Fraction(budget - sigma(h, s), ell - len(s)) for s in sets]
+        least = min(ratios)
+        zv = z_value(h, ell)
+        assert zv.witness == sets[ratios.index(least)]
+        assert zv.z == max(least, 0) and zv.clamped == (least < 0)
 
     @settings(max_examples=40, deadline=None)
     @given(small_hypergraphs(max_n=6), st.integers(3, 9))
