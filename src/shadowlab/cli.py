@@ -113,8 +113,9 @@ def _serialized(data: bytes) -> Optional[tuple[int, int, Iterator[tuple[int, ...
 
     With its digits deleted, such a body is r-1 spaces per line joined by
     LFs, and its lines*r - 1 separators leave lines*r tokens only if no
-    run between them is empty. The lengths are compared first, so a huge
-    r from the header allocates nothing."""
+    run between them is empty. The lengths are compared first, and a
+    header-only document gets no rows, so a huge r from the header
+    allocates nothing."""
     head, _, body = data.removeprefix(b"\xef\xbb\xbf").partition(b"\n")
     header = head.split(b" ")
     if len(header) != 2 or not all(map(bytes.isdigit, header)):
@@ -134,7 +135,7 @@ def _serialized(data: bytes) -> Optional[tuple[int, int, Iterator[tuple[int, ...
             return None
     if None in value.values():  # a token past int's digit limit
         return None
-    return r, n, zip(*[iter(flat)] * r)
+    return r, n, zip(*[iter(flat)] * r) if flat else iter(())
 
 
 class _IntOf(dict):

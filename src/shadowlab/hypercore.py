@@ -302,8 +302,8 @@ def z_value(h: Hypergraph, ell: int) -> ZValue:
 
     The witness is the binding clique, ties broken by (size, lexicographic).
     The empty set is excluded from the minimization. The cliques are walked
-    one at a time, none kept, and a walk past Z_VALUE_NODE_BUDGET cliques
-    raises `ResourceBudgetError`.
+    one at a time, none kept, size by size up to the first size with none,
+    and a walk past Z_VALUE_NODE_BUDGET cliques raises `ResourceBudgetError`.
     """
     if ell < h.r:
         raise ParameterError(f"ell must be >= r={h.r}, got {ell}")
@@ -314,15 +314,19 @@ def z_value(h: Hypergraph, ell: int) -> ZValue:
     best: Fraction | None = None
     witness: tuple[int, ...] = ()
     adj, full = h.pair_adjacency, (1 << h.n) - 1
-    sizes = range(1, min(ell - 1, h.n) + 1)  # no larger clique exists
-    walk = chain.from_iterable(cliques(adj, (), full, k) for k in sizes)
-    for r_set in islice(walk, Z_VALUE_NODE_BUDGET):
-        ratio = Fraction(budget - sigma(h, r_set), ell - len(r_set))
-        if best is None or ratio < best:
-            best = ratio
-            witness = r_set
-    if next(walk, None) is not None:
-        raise ResourceBudgetError.nodes("z_value", Z_VALUE_NODE_BUDGET)
+    visited = 0
+    for k in range(1, min(ell - 1, h.n) + 1):
+        before = visited
+        for r_set in cliques(adj, (), full, k):
+            visited += 1
+            if visited > Z_VALUE_NODE_BUDGET:
+                raise ResourceBudgetError.nodes("z_value", Z_VALUE_NODE_BUDGET)
+            ratio = Fraction(budget - sigma(h, r_set), ell - len(r_set))
+            if best is None or ratio < best:
+                best = ratio
+                witness = r_set
+        if visited == before:
+            break  # no clique of size k, so none larger
     if best is None:
         raise RuntimeError(f"no nonempty 2-covered set of size <= {ell - 1}")
     if best < 0:

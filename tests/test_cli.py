@@ -336,6 +336,17 @@ class TestEdgeListFormat:
         assert str(info.value) == "line 2: expected 1000000000000 vertices, got 3"
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("data", [b"1000000000000 5\n", b"1000000000000 5"])
+    def test_huge_uniformity_header_only_allocates_nothing(self, data):
+        tracemalloc.start()
+        try:
+            outcome = parse_outcome(parse, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == parse_outcome(reference_parse, data)
+        assert peak < 1 << 20
+
     def test_byte_order_mark_and_crlf(self):
         lf = "# shape\n3 5\n0 1 2\n1 3 4\n"
         bom_crlf = b"\xef\xbb\xbf" + lf.replace("\n", "\r\n").encode()
