@@ -304,6 +304,10 @@ def z_value(h: Hypergraph, ell: int) -> ZValue:
     The empty set is excluded from the minimization. The cliques are walked
     one at a time, none kept, size by size up to the first size with none,
     and a walk past Z_VALUE_NODE_BUDGET cliques raises `ResourceBudgetError`.
+    Each clique's ratio stays the integer pair ((l-r+1)|shadow| - sigma(R),
+    l-|R|), and pairs are compared by cross-multiplication: every
+    denominator is at least 1, so the order is the ratios' own. One exact
+    `Fraction` is built from the least pair at the end.
     """
     if ell < h.r:
         raise ParameterError(f"ell must be >= r={h.r}, got {ell}")
@@ -311,24 +315,25 @@ def z_value(h: Hypergraph, ell: int) -> ZValue:
         raise EmptyInputError("z_value needs a nonempty hypergraph")
     shadow_size = len(shadow(h)) if h.r >= 2 else len(h)
     budget = (ell - h.r + 1) * shadow_size
-    best: Fraction | None = None
+    best: int | None = None   # the least ratio is best / best_den
+    best_den = 1
     witness: tuple[int, ...] = ()
     adj, full = h.pair_adjacency, (1 << h.n) - 1
     visited = 0
     for k in range(1, min(ell - 1, h.n) + 1):
         before = visited
+        den = ell - k
         for r_set in cliques(adj, (), full, k):
             visited += 1
             if visited > Z_VALUE_NODE_BUDGET:
                 raise ResourceBudgetError.nodes("z_value", Z_VALUE_NODE_BUDGET)
-            ratio = Fraction(budget - sigma(h, r_set), ell - len(r_set))
-            if best is None or ratio < best:
-                best = ratio
-                witness = r_set
+            num = budget - sigma(h, r_set)
+            if best is None or num * best_den < best * den:
+                best, best_den, witness = num, den, r_set
         if visited == before:
             break  # no clique of size k, so none larger
     if best is None:
         raise RuntimeError(f"no nonempty 2-covered set of size <= {ell - 1}")
     if best < 0:
         return ZValue(Fraction(0), witness, ell, clamped=True)
-    return ZValue(best, witness, ell)
+    return ZValue(Fraction(best, best_den), witness, ell)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import _count_elements  # Counter's C grouping loop
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -130,7 +130,9 @@ def _edge_codes(h: Hypergraph, ell: int):
     part would carry into the next digit. An edge is removed once a part
     digit reaches 2 or its OUT digit is nonzero. Returns the codes (all 0),
     `unit` (each label's digit value), `removals()`, `costs_of` and `move`;
-    each distinct code is decoded once.
+    each distinct code is decoded once. `removals` and `costs_of` group
+    equal codes into a plain dict first, so a decode is looked up once per
+    distinct code rather than once per edge.
     """
     r = h.r
     incidence = h.incidence
@@ -145,14 +147,19 @@ def _edge_codes(h: Hypergraph, ell: int):
         decoded[c] = entry = (removed, hits)
         return entry
 
+    def grouped(codes):  # (code, how many of `codes` equal it) pairs
+        counts = {}
+        _count_elements(counts, codes)
+        return counts.items()
+
     def removals():
-        return sum(k for c, k in Counter(code).items() if (decoded.get(c) or decode(c))[0])
+        return sum(k for c, k in grouped(code) if (decoded.get(c) or decode(c))[0])
 
     def costs_of(v, own):
         """costs[label], OUT last: the edges through v that v removes by
         taking that label, once its digit value `own` is taken out."""
         costs = [0] * (ell + 1)
-        for c, k in Counter(map(code.__getitem__, incidence[v])).items():
+        for c, k in grouped(map(code.__getitem__, incidence[v])):
             c -= own
             for p in (decoded.get(c) or decode(c))[1]:
                 costs[p] += k

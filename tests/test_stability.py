@@ -305,6 +305,26 @@ class TestPartitionFit:
                     continue
                 assert removed_by_labels(h, moved) >= fit.removed
 
+    @pytest.mark.xfail(strict=True, reason="the CHANGES.md FOUND line on "
+                       "`stability._fit_heuristic`: it never tries an in/out swap "
+                       "(ROADMAP item 6)")
+    def test_heuristic_has_no_improving_in_out_swap(self):
+        """No swap of one kept vertex for one left-out vertex, put into any
+        part, removes fewer edges. Here the heuristic keeps (0,1,2,5,6,7) and
+        removes 2; leaving 2 out and putting 8 in removes 1, the optimum."""
+        h = Hypergraph.build(3, 9, [(0, 6, 7), (1, 6, 7), (2, 3, 5), (5, 7, 8)])
+        fit = partition_fit(h, 3, 6, mode="heuristic", seed=0)
+        assert partition_fit(h, 3, 6).removed == 1
+        labels = [None] * h.n
+        for p, part in enumerate(fit.parts):
+            for v in part:
+                labels[v] = p
+        left_out = [w for w in range(h.n) if labels[w] is None]
+        for u, w, p in itertools.product(fit.subset, left_out, range(3)):
+            swapped = labels.copy()
+            swapped[u], swapped[w] = None, p
+            assert removed_by_labels(h, swapped) >= fit.removed, (u, w, p)
+
     @settings(max_examples=300, deadline=None)
     @given(pinned_fit_instances())
     # the greedy seeding puts the third vertex of the triangle beside the
