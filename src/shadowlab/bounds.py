@@ -12,7 +12,8 @@ five sites: the `Inequality` record (the lemma batteries and the stability
 claim flags), `BoundReport.holds` and `tight`, and the certificate's
 hypothesis and removal tests. The real binomial C(x, k) is evaluated as a
 falling factorial, never through the Gamma function. Inequality checks
-recompute every quantity from the hypergraph on each call.
+recompute every quantity from the hypergraph on each call, except the
+shadow: `shadow` reads it from the instance, which computes it once.
 """
 
 from __future__ import annotations

@@ -4,16 +4,19 @@ Vertices are dense integers 0..n-1 so isolated vertices are representable.
 Vertex sets are plain frozensets; edges are stored as sorted tuples in
 lexicographic order, which makes equal hypergraphs serialize identically.
 Bitmask forms of the edges are cached for the hot set-algebra paths
-(Python ints give exact fixed-width behaviour for any n).
+(Python ints give exact fixed-width behaviour for any n), and so is the
+first shadow, computed once per instance by a kernel that walks the edges
+by prefix runs and so needs them in lexicographic order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, count, islice, repeat
-from operator import ge, lt, ne, not_
+from operator import ge, itemgetter, lt, ne, not_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeError, EmptyInputError, ParameterError, ResourceBudgetError
@@ -43,6 +46,35 @@ def _first(flags: Iterable[bool], end: int) -> int:
     """The index of the first true flag before `end`, or `end` if none is."""
     at = bytes(flags).find(1, 0, end)
     return end if at < 0 else at
+
+
+def _shadow_edges(
+    edges: Sequence[tuple[int, ...]], r: int, n: int
+) -> tuple[tuple[int, ...], ...]:
+    """The (r-1)-subsets of the lexicographically sorted r-tuples `edges`
+    with vertices below n, sorted, for r >= 2.
+
+    With k = r - 2, a subset that drops one of an edge's first k vertices is
+    collected once per dropped position. The subsets that keep the k-prefix P
+    are P + (z,), z a last-two vertex of an edge with prefix P; those edges
+    are one contiguous run, found by bisection against P + (n,), so each run
+    adds one tuple per distinct z, and extra memory is O(longest run).
+    """
+    k = r - 2
+    out: set[tuple[int, ...]] = set()
+    for j in range(k):
+        out.update(map(itemgetter(*range(j), *range(j + 1, r)), edges))
+    next_to_last, last = itemgetter(k), itemgetter(k + 1)
+    start, end = 0, len(edges)
+    while start < end:
+        prefix = edges[start][:k]
+        stop = bisect_left(edges, prefix + (n,), start)
+        run = edges[start:stop]
+        z = set(map(next_to_last, run))
+        z.update(map(last, run))
+        out.update(map(prefix.__add__, zip(z)))
+        start = stop
+    return tuple(sorted(out))
 
 
 def _columns(edges: Sequence[tuple[int, ...]], r: int) -> list[list[int]]:
@@ -154,6 +186,13 @@ class Hypergraph:
         return tuple(d)
 
     @cached_property
+    def first_shadow(self) -> "Hypergraph":
+        """The (r-1)-graph of all (r-1)-sets inside some edge, for r >= 2."""
+        if self.r < 2:
+            raise ParameterError(f"shadows need r >= 2, got r={self.r}")
+        return Hypergraph(self.r - 1, self.n, _shadow_edges(self.edges, self.r, self.n))
+
+    @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """incidence[v] = indices of the edges containing v, ascending."""
         inc: list[list[int]] = [[] for _ in range(self.n)]
@@ -220,13 +259,19 @@ class ZValue:
 
 
 def shadow_i(h: Hypergraph, i: int) -> Hypergraph:
-    """The i-th shadow: all (r-i)-sets contained in some edge."""
+    """The i-th shadow: all (r-i)-sets contained in some edge.
+
+    It is the first shadow taken i times (the shadow of the (i-1)-th
+    shadow), each read from the instance's cached `first_shadow`, so a
+    graph's shadows are computed once however often they are asked for.
+    """
     if h.r < 2:
         raise ParameterError(f"shadows need r >= 2, got r={h.r}")
     if not 1 <= i <= h.r - 1:
         raise ParameterError(f"shadow index must be in 1..{h.r - 1}, got {i}")
-    sub = set(chain.from_iterable(map(combinations, h.edges, repeat(h.r - i))))
-    return Hypergraph(h.r - i, h.n, tuple(sorted(sub)))
+    for _ in range(i):
+        h = h.first_shadow
+    return h
 
 
 def shadow(h: Hypergraph) -> Hypergraph:
@@ -307,10 +352,13 @@ def z_value(h: Hypergraph, ell: int) -> ZValue:
     Each clique's ratio stays the integer pair ((l-r+1)|shadow| - sigma(R),
     l-|R|), and pairs are compared by cross-multiplication: every
     denominator is at least 1, so the order is the ratios' own. One exact
-    `Fraction` is built from the least pair at the end.
+    `Fraction` is built from the least pair at the end. ell must be at least
+    r and at least 2, so that some clique has size <= ell - 1.
     """
     if ell < h.r:
         raise ParameterError(f"ell must be >= r={h.r}, got {ell}")
+    if ell < 2:
+        raise ParameterError(f"ell must be >= 2, got {ell}")
     if not h.edges:
         raise EmptyInputError("z_value needs a nonempty hypergraph")
     shadow_size = len(shadow(h)) if h.r >= 2 else len(h)

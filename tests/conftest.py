@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from shadowlab import Cancellative, Expansion, Hypergraph, complete, turan
 from shadowlab.errors import ParameterError
@@ -27,6 +28,17 @@ def t6_parts():
 @pytest.fixture(scope="session")
 def k4():
     return complete(4, 3)
+
+
+@st.composite
+def any_hypergraphs(draw):
+    """Random r-graphs, r in 2..6, on 0..10 vertices: empty graphs, single
+    edges, isolated vertices and complete graphs all among them."""
+    r = draw(st.integers(2, 6))
+    n = draw(st.integers(0, 10))
+    candidates = list(itertools.combinations(range(n), r))
+    edges = draw(st.sets(st.sampled_from(candidates))) if candidates else set()
+    return Hypergraph.build(r, n, edges)
 
 
 def reference_build(r, n, edges) -> Hypergraph:

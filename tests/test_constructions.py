@@ -17,13 +17,17 @@ from shadowlab import (
     fano,
     find_clique_expansion,
     is_free,
+    link,
     perturb,
     shadow,
+    shadow_i,
     turan,
     turan_padded,
 )
 from shadowlab.constructions import Xorshift64Star, balanced_parts
 from shadowlab.errors import ParameterError
+
+from conftest import any_hypergraphs
 
 
 class TestComplete:
@@ -204,6 +208,20 @@ _constructed = st.one_of(
 def test_constructors_equal_build(h):
     """The constructors use the trusted path; `build` must agree with them."""
     assert Hypergraph.build(h.r, h.n, h.edges) == h
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_constructed, any_hypergraphs()), st.data())
+def test_derived_graphs_equal_build(h, data):
+    """`link`, `induced` and `shadow_i` use the trusted path too, and the
+    shadow kernel's bisection needs their edges in lexicographic order."""
+    kept = data.draw(st.sets(st.integers(0, h.n - 1)) if h.n else st.just(set()))
+    derived = [h.induced(kept)]
+    if h.r >= 2:
+        derived += [link(h, v) for v in range(h.n)]
+        derived += [shadow_i(h, i) for i in range(1, h.r)]
+    for g in derived:
+        assert Hypergraph.build(g.r, g.n, g.edges) == g
 
 
 class TestPrng:

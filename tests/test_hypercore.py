@@ -28,9 +28,16 @@ from shadowlab import (
 )
 from shadowlab.errors import EdgeError, EmptyInputError, ParameterError, ResourceBudgetError
 
-from conftest import reference_build
+from conftest import any_hypergraphs, reference_build
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def shadow_oracle(h, i):
+    """The i-th shadow's edges by definition: every (r-i)-subset of every
+    edge, deduplicated and sorted."""
+    return tuple(sorted(set(itertools.chain.from_iterable(
+        itertools.combinations(e, h.r - i) for e in h.edges))))
 
 
 def small_hypergraphs(max_n=7, r=3):
@@ -173,6 +180,41 @@ class TestShadow:
             with pytest.raises(ParameterError):
                 shadow_i(t6, i)
 
+    @settings(max_examples=300, deadline=None)
+    @given(any_hypergraphs())
+    def test_kernel_matches_the_oracle(self, h):
+        for i in range(1, h.r):
+            sh = shadow_i(h, i)
+            assert (sh.r, sh.n, sh.edges) == (h.r - i, h.n, shadow_oracle(h, i))
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_one_uniform_has_no_shadow(self, i):
+        h = Hypergraph.build(1, 3, [(0,), (2,)])
+        with pytest.raises(ParameterError, match="shadows need r >= 2"):
+            shadow_i(h, i)
+        with pytest.raises(ParameterError, match="shadows need r >= 2"):
+            h.first_shadow
+
+    def test_kernel_runs_once_per_instance(self, monkeypatch):
+        """shadow, shadow_i and the higher shadows read the cached first
+        shadow of each instance in the chain: one kernel run per graph."""
+        runs = []
+        kernel = hypercore._shadow_edges
+
+        def counted(edges, r, n):
+            runs.append(r)
+            return kernel(edges, r, n)
+
+        monkeypatch.setattr(hypercore, "_shadow_edges", counted)
+        h = complete(7, 4)
+        assert shadow(h) is shadow(h) is shadow_i(h, 1) is h.first_shadow
+        assert runs == [4]
+        assert shadow_i(h, 3) is shadow_i(shadow_i(h, 2), 1)
+        assert shadow_i(h, 2) is shadow(shadow(h))
+        assert runs == [4, 3, 2]
+        assert shadow(complete(7, 4)) is not shadow(h)
+        assert runs == [4, 3, 2, 4]
+
     @settings(max_examples=60, deadline=None)
     @given(small_hypergraphs(max_n=7, r=4))
     def test_shadow_composition(self, h):
@@ -307,6 +349,21 @@ class TestZValue:
             z_value(t6, 2)
         with pytest.raises(EmptyInputError):
             z_value(Hypergraph.build(3, 4, []), 3)
+
+    @pytest.mark.parametrize("ell", [1, 0, -1])
+    def test_ell_below_two_is_a_parameter_error(self, ell):
+        """At ell = r = 1 no clique has size <= ell - 1, so ell < 2 is
+        refused as a parameter, before any work."""
+        with pytest.raises(ParameterError, match="ell must be >= "):
+            z_value(Hypergraph.build(1, 3, [(0,), (2,)]), ell)
+        with pytest.raises(ParameterError):
+            z_value(Hypergraph.build(1, 3, []), ell)
+
+    def test_one_uniform_at_ell_two(self):
+        """The least ell a 1-graph accepts: budget 2|H| over singletons."""
+        h = Hypergraph.build(1, 3, [(0,), (2,)])
+        zv = z_value(h, 2)
+        assert (zv.z, zv.witness, zv.clamped) == (Fraction(3), (0,), False)
 
     def test_huge_ell(self):
         # No clique has more than n vertices, so ell = 10^8 reads only
