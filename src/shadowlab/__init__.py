@@ -24,11 +24,9 @@ from .forbidden import (
     is_free,
 )
 from .hypercore import (
-    CliqueSet,
     Hypergraph,
     SigmaStats,
     ZValue,
-    clique_set,
     is_two_covered,
     link,
     shadow,
@@ -39,7 +37,6 @@ from .hypercore import (
 )
 
 __all__ = [
-    "CliqueSet",
     "Cancellative",
     "Expansion",
     "Hypergraph",
@@ -49,7 +46,6 @@ __all__ = [
     "Witness",
     "ZValue",
     "clique_expansion_graph",
-    "clique_set",
     "complete",
     "expansion",
     "fano",

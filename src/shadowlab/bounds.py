@@ -3,7 +3,8 @@ and clique-expansion shadow bounds, and the inequality batteries used by the
 stability arguments. The cancellative bound is the clique-expansion bound at
 ell = r, so `expansion_bound` is the one formula that evaluates both.
 
-All bound arithmetic is double precision. `BoundReport.of` is the one place
+All bound arithmetic is double precision, except L14.2's right side, which
+is evaluated in rationals and rounded once. `BoundReport.of` is the one place
 a shadow bound meets |H| and the only caller of `shadow_bound`:
 `bound_report_for`, the bound sweep, the stability certificate, both core
 extractions and L9.4's right side all read its report. Every verdict
@@ -214,7 +215,7 @@ def lemma14_check(h: Hypergraph, ell: int) -> InequalityReport:
     sh = shadow(h)
     p = len(sh)
     zv = z_value(h, ell)
-    z = float(zv.z)
+    z = zv.z
     r0 = len(zv.witness)
     sum_sigma = sum(sigma(h, s) for s in sh.edges)
 
@@ -224,6 +225,8 @@ def lemma14_check(h: Hypergraph, ell: int) -> InequalityReport:
         * (r - 1) ** ((r - 2) / (r - 1))
     )
     rhs1 = prefix * p ** ((r - 2) / (r - 1)) * sum_sigma ** (1.0 / (r - 1))
+    # In rationals: its terms of size about ell * p^2 cancel, which leaves
+    # nothing of a float difference once ell passes about 10^16.
     rhs2 = (
         (ell - r + 1) * (p - 2 * z) * p
         + z * z * ell
@@ -232,6 +235,6 @@ def lemma14_check(h: Hypergraph, ell: int) -> InequalityReport:
     return InequalityReport(
         (
             Inequality("L14.1", float(len(h)), rhs1),
-            Inequality("L14.2", float(sum_sigma), rhs2),
+            Inequality("L14.2", float(sum_sigma), float(rhs2)),
         )
     )

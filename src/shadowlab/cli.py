@@ -18,7 +18,6 @@ import math
 import sys
 import time
 from itertools import islice, repeat
-from operator import contains
 from typing import Any, Iterator, Optional
 
 from . import __version__
@@ -53,11 +52,11 @@ def parse(data: bytes) -> Hypergraph:
 
     Every other line becomes a tuple of its tokens' values, each token read
     once through a memo of `int` (`_IntOf`) that maps a non-integer token
-    to None. `Hypergraph.build` gets the edge lines before the first line
-    with a non-integer token, all at once, and names its first bad edge by
-    index; if it accepts them, that line is the error. So the error is
-    always the first bad line's, as a line-by-line reader would find it,
-    and line numbers are counted only once an error is raised.
+    to None. `Hypergraph.build` gets every edge line at once. A line with a
+    None breaks build's arity or type rule, so the edge build names by index
+    is the first bad line, as a line-by-line reader would find it. It is
+    reported as a non-integer token if it holds a None, and with build's
+    message otherwise. Line numbers are counted only once an error is raised.
 
     A document in the exact format `serialize` writes (see `_serialized`)
     is read whole instead, as one byte string: edge i is line i + 2. The
@@ -79,26 +78,19 @@ def parse(data: bytes) -> Hypergraph:
     rows = list(filter(None, map(tuple, rows)))
     if not rows:
         raise EdgeListParseError(1, "missing 'r n' header")
-    # rows[word] is the first row with a non-integer token, if any is.
-    word = len(rows)
-    if None in value.values():
-        word = bytes(map(contains, rows, repeat(None))).find(1)
     header = rows[0]
-    if word == 0:
+    if None in header:
         bad, message = 0, None
     elif len(header) != 2:
         bad, message = 0, "header must be exactly 'r n'"
     else:
         try:
-            h = Hypergraph.build(header[0], header[1], rows[1:word])
+            return Hypergraph.build(header[0], header[1], rows[1:])
         except EdgeError as exc:
-            bad, message = exc.index + 1, str(exc)
+            bad = exc.index + 1
+            message = None if None in rows[bad] else str(exc)
         except ParameterError as exc:
             bad, message = 0, str(exc)
-        else:
-            if word == len(rows):
-                return h
-            bad, message = word, None
     at, line = next(islice(
         ((at, line.strip()) for at, line in enumerate(lines, 1) if line.split()), bad, None))
     raise EdgeListParseError(at, message or f"non-integer token in {line!r}")

@@ -1,8 +1,9 @@
 """Uniform hypergraphs and their shadow/link/degree/clique primitives.
 
 Vertices are dense integers 0..n-1 so isolated vertices are representable.
-Vertex sets are plain frozensets; edges are stored as sorted tuples in
-lexicographic order, which makes equal hypergraphs serialize identically.
+A vertex set argument is any iterable of ints. Edges, and the 2-covered sets
+that `cliques` lists, are sorted tuples; edges are stored in lexicographic
+order, which makes equal hypergraphs serialize identically.
 Bitmask forms of the edges are cached for the hot set-algebra paths
 (Python ints give exact fixed-width behaviour for any n), and so is the
 first shadow, computed once per instance by a kernel that walks the edges
@@ -227,27 +228,6 @@ class SigmaStats:
 
 
 @dataclass(frozen=True)
-class CliqueSet:
-    """All 2-covered vertex sets of size 1..kmax, grouped by size.
-
-    Singletons (every vertex, isolated ones included) count as 2-covered;
-    the empty set is excluded.
-    """
-
-    kmax: int
-    by_size: tuple[tuple[tuple[int, ...], ...], ...]  # by_size[k-1] = size-k sets
-
-    def all(self) -> Iterator[tuple[int, ...]]:
-        for group in self.by_size:
-            yield from group
-
-    def of_size(self, k: int) -> tuple[tuple[int, ...], ...]:
-        if 1 <= k <= self.kmax:
-            return self.by_size[k - 1]
-        return ()
-
-
-@dataclass(frozen=True)
 class ZValue:
     """The largest z with sigma(R) <= (l-r+1)|shadow| - (l-|R|) z for all
     cliques R of size <= l-1, stored exactly as a rational."""
@@ -310,18 +290,6 @@ def is_two_covered(h: Hypergraph, s: Iterable[int]) -> bool:
     return all(adj[u] >> v & 1 for u, v in combinations(sv, 2))
 
 
-def clique_set(h: Hypergraph, kmax: int) -> CliqueSet:
-    """All 2-covered sets of size <= kmax: the cliques of the pair-coverage
-    graph, each size in lexicographic order."""
-    if kmax < 1:
-        raise ParameterError(f"kmax must be >= 1, got {kmax}")
-    adj = h.pair_adjacency
-    full = (1 << h.n) - 1
-    return CliqueSet(
-        kmax, tuple(tuple(cliques(adj, (), full, k)) for k in range(1, kmax + 1))
-    )
-
-
 def cliques(
     adj: Sequence[int], clique: tuple[int, ...], cand: int, size: int
 ) -> Iterator[tuple[int, ...]]:
@@ -329,7 +297,12 @@ def cliques(
     bitmask `cand`, each new vertex above the last, in the graph whose
     adjacency bitmasks are `adj`, in lexicographic order. Needs
     size > len(clique). A branch stops once fewer candidates are left than
-    vertices are still needed."""
+    vertices are still needed.
+
+    The one clique walk: the 2-covered k-sets of H are
+    `cliques(h.pair_adjacency, (), (1 << h.n) - 1, k)`, and the k-cliques
+    through an edge uv are `cliques(adj, (u, v), adj[u] & adj[v], k)`,
+    each as (u, v) followed by its other vertices in increasing order."""
     need = size - len(clique)
     c = cand
     while c.bit_count() >= need:

@@ -1,6 +1,7 @@
 """Shared fixtures: the standard small instances and the seeded random
-corpora reused by the property and acceptance suites, and the edge-by-edge
-walk that `Hypergraph.build` is checked against."""
+corpora reused by the property and acceptance suites, the edge-by-edge
+walk that `Hypergraph.build` is checked against, and the subset scan that
+`hypercore.cliques` and `z_value` are checked against."""
 
 import itertools
 import random
@@ -39,6 +40,19 @@ def any_hypergraphs(draw):
     candidates = list(itertools.combinations(range(n), r))
     edges = draw(st.sets(st.sampled_from(candidates))) if candidates else set()
     return Hypergraph.build(r, n, edges)
+
+
+def two_covered_sets(h, kmax):
+    """Every nonempty 2-covered vertex set of at most kmax vertices, in
+    (size, lexicographic) order: a scan of all subsets that looks each pair
+    up among the pairs of the edges themselves, not in `pair_adjacency`."""
+    covered = {pair for e in h.edges for pair in itertools.combinations(e, 2)}
+    return [
+        s
+        for k in range(1, min(kmax, h.n) + 1)
+        for s in itertools.combinations(range(h.n), k)
+        if all(pair in covered for pair in itertools.combinations(s, 2))
+    ]
 
 
 def reference_build(r, n, edges) -> Hypergraph:

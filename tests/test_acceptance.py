@@ -14,7 +14,6 @@ from shadowlab import (
     Cancellative,
     Expansion,
     Hypergraph,
-    clique_set,
     link,
     perturb,
     shadow,
@@ -42,6 +41,8 @@ from shadowlab.stability import (
     partition_fit,
     stability_certificate,
 )
+
+from conftest import two_covered_sets
 
 TOL = 1e-9
 
@@ -109,7 +110,7 @@ def _lemma8_holds(h):
         for v in range(u + 1, h.n):
             if adj[u] >> v & 1 and links[u] & links[v]:
                 return False
-    return all(sigma(h, s) <= p for s in clique_set(h, h.n).all())
+    return all(sigma(h, s) <= p for s in two_covered_sets(h, h.n))
 
 
 def _neighborhood(h, s):

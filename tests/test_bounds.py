@@ -2,13 +2,14 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowlab import (
-    Cancellative, Expansion, Hypergraph, complete, link, shadow, turan, turan_padded,
+    Cancellative, Expansion, Hypergraph, complete, link, shadow, turan, turan_padded, z_value,
 )
 from shadowlab.bounds import (
     TOLERANCE,
@@ -241,6 +242,25 @@ class TestLemma14:
         with pytest.raises(PreconditionError) as err:
             lemma14_check(complete(5, 3), 3)
         assert err.value.witness.kind == "covered-clique"
+
+    @pytest.mark.parametrize("h, ell", [
+        (turan(12, 4, 3)[0], 10 ** 16),
+        (turan(9, 3, 3)[0], 10 ** 16),
+        (complete(8, 3), 10 ** 16),
+        (turan(10, 5, 4)[0], 10 ** 18),
+        (complete(6, 4), 10 ** 18),
+        (Hypergraph.build(3, 3, [(0, 1, 2)]), 10 ** 18),
+    ], ids=["T4(12)", "T3(9)", "K8", "T5(10)^4", "K6^4", "one-edge"])
+    def test_l14_2_exact_at_huge_ell(self, h, ell):
+        """L14.2's right side cancels two terms of size about ell * p^2, so
+        in floats it reads 0 from ell near 10^16; it is the rational value,
+        rounded once."""
+        r, p, zv = h.r, len(shadow(h)), z_value(h, ell)
+        exact = ((ell - r + 1) * (p - 2 * zv.z) * p + zv.z ** 2 * ell
+                 - ((ell - r + 1) * p - zv.z * ell) ** 2 / Fraction(len(zv.witness)))
+        rep = lemma14_check(h, ell)
+        assert rep.get("L14.2").rhs == float(exact) > rep.get("L14.2").lhs
+        assert rep.all_hold
 
 
 class TestReportsOnShadowSizes:

@@ -363,6 +363,21 @@ class TestEdgeListFormat:
             parse(b"3 5\n0 1 2\n0 1 1\n1 2 3\n0 x 2\n")
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("data, error", [
+        (b"3 4\n0 1 2\n0 1 x 3\n", "line 3: non-integer token in '0 1 x 3'"),
+        (b"3 4\n0 1 2\n0 1 2\n0 x 3\n", "line 3: duplicate edge (0, 1, 2)"),
+        (b"3 4\n0 1 7\n0 x 3\n", "line 2: vertex 7 outside 0..3"),
+        (b"3 x 4\n0 1 2\n", "line 1: non-integer token in '3 x 4'"),
+        (b"# K\r\n3 4\r\n0 1 2\r\n0 x 3\r\n", "line 4: non-integer token in '0 x 3'"),
+    ], ids=["with-bad-arity", "after-duplicate", "after-range", "header", "crlf-comment"])
+    def test_non_integer_token_among_other_faults(self, data, error):
+        """A non-integer token is named only when its line is the first bad
+        one; a line with a wrong token count names the token, not the count."""
+        with pytest.raises(EdgeListParseError) as info:
+            parse(data)
+        assert str(info.value) == error
+        assert parse_outcome(parse, data) == parse_outcome(reference_parse, data)
+
     def test_serialize_parse_identity_on_constructions(self, t6, k4):
         for h in (t6, k4):
             assert parse(serialize(h).encode()) == h
@@ -512,6 +527,15 @@ class TestCommands:
         result = load_report(out)["results"][0]
         assert result["passed"] and result["ell_parts"] == 100000
         assert len(result["fit"]["parts"]) == 12
+
+    def test_lemmas_hold_at_ell_past_float_resolution(self, tmp_path):
+        hg = tmp_path / "t.hg"
+        hg.write_text(serialize(turan(12, 4, 3)[0]))
+        out = tmp_path / "l.json"
+        assert run(["lemmas", "--input", str(hg), "--family", "expansion",
+                    "--l", str(10 ** 16), "--out", str(out)]) == EXIT_OK
+        l14_2 = load_report(out)["results"][0]["items"][1]
+        assert l14_2["identifier"] == "L14.2" and l14_2["rhs"] > l14_2["lhs"] == 2916
 
     def test_non_free_below_the_hypothesis(self, tmp_path):
         # A cancellative triple plus ten disjoint edges misses the

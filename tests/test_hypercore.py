@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from shadowlab import (
     Hypergraph,
     hypercore,
-    clique_set,
     complete,
     is_two_covered,
     link,
@@ -28,7 +27,7 @@ from shadowlab import (
 )
 from shadowlab.errors import EdgeError, EmptyInputError, ParameterError, ResourceBudgetError
 
-from conftest import any_hypergraphs, reference_build
+from conftest import any_hypergraphs, reference_build, two_covered_sets
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -38,6 +37,11 @@ def shadow_oracle(h, i):
     edge, deduplicated and sorted."""
     return tuple(sorted(set(itertools.chain.from_iterable(
         itertools.combinations(e, h.r - i) for e in h.edges))))
+
+
+def all_cliques(h, k):
+    """The 2-covered k-sets of H, as `cliques` walks them."""
+    return list(hypercore.cliques(h.pair_adjacency, (), (1 << h.n) - 1, k))
 
 
 def small_hypergraphs(max_n=7, r=3):
@@ -288,38 +292,34 @@ class TestCliques:
         assert is_two_covered(t6, [3])
 
     def test_clique_set_turan(self, t6):
-        cs = clique_set(t6, 3)
-        assert len(cs.of_size(1)) == 6
-        assert len(cs.of_size(2)) == 12
-        assert len(cs.of_size(3)) == 8
+        assert [len(all_cliques(t6, k)) for k in (1, 2, 3, 4)] == [6, 12, 8, 0]
 
     def test_clique_set_edgeless(self):
-        cs = clique_set(Hypergraph.build(3, 4, []), 3)
-        assert cs.of_size(1) == ((0,), (1,), (2,), (3,))
-        assert cs.of_size(2) == ()
+        h = Hypergraph.build(3, 4, [])
+        assert all_cliques(h, 1) == [(0,), (1,), (2,), (3,)]
+        assert all_cliques(h, 2) == []
 
     def test_clique_set_complete(self, k4):
-        assert (0, 1, 2, 3) in clique_set(k4, 4).of_size(4)
+        assert all_cliques(k4, 4) == [(0, 1, 2, 3)]
 
-    def test_clique_set_kmax_validation(self, t6):
-        with pytest.raises(ParameterError):
-            clique_set(t6, 0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(small_hypergraphs(max_n=6))
+    @settings(max_examples=60, deadline=None)
+    @given(any_hypergraphs())
     def test_clique_set_against_subset_scan(self, h):
-        """Each size's group in lexicographic order, which z_value's
-        witness tie-break and find_clique_expansion's least core rely on."""
-        got = clique_set(h, h.n).by_size
-        expected = tuple(
-            tuple(
-                s
-                for s in itertools.combinations(range(h.n), k)
-                if is_two_covered(h, s)
-            )
-            for k in range(1, h.n + 1)
-        )
-        assert got == expected
+        """Each size's cliques in lexicographic order, which z_value's
+        witness tie-break and find_clique_expansion's least core rely on;
+        and the cliques through each covered pair (u, v), as the
+        clique-expansion checker grows them, in the same order."""
+        scan = two_covered_sets(h, h.n)
+        adj = h.pair_adjacency
+        for k in range(1, h.n + 1):
+            of_size = [s for s in scan if len(s) == k]
+            assert all_cliques(h, k) == of_size
+            for u, v in itertools.combinations(range(h.n), 2):
+                if k < 3 or not adj[u] >> v & 1:
+                    continue
+                through = [(u, v) + tuple(w for w in s if w not in (u, v))
+                           for s in of_size if u in s and v in s]
+                assert list(hypercore.cliques(adj, (u, v), adj[u] & adj[v], k)) == through
 
 
 class TestZValue:
@@ -367,12 +367,12 @@ class TestZValue:
 
     def test_huge_ell(self):
         # No clique has more than n vertices, so ell = 10^8 reads only
-        # the cliques of clique_set(h, n).
+        # the 2-covered sets of at most n vertices.
         h, ell = complete(12, 3), 10 ** 8
         budget = (ell - 2) * len(shadow(h))
         zv = z_value(h, ell)
         assert zv.z == min(
-            Fraction(budget - sigma(h, s), ell - len(s)) for s in clique_set(h, 12).all())
+            Fraction(budget - sigma(h, s), ell - len(s)) for s in two_covered_sets(h, 12))
 
     def test_node_budget(self, monkeypatch):
         """The walk passes at its exact clique count and raises one below:
@@ -390,11 +390,11 @@ class TestZValue:
     @given(small_hypergraphs(max_n=6), st.integers(3, 9))
     def test_streamed_minimum_matches_the_clique_set(self, h, ell):
         """The streamed walk finds the minimum and the (size, lexicographic)
-        first witness that a scan of the whole clique set does."""
+        first witness that a scan of every 2-covered set does."""
         if not h.edges:
             return
         budget = (ell - h.r + 1) * len(shadow(h))
-        sets = list(clique_set(h, min(ell - 1, h.n)).all())
+        sets = two_covered_sets(h, ell - 1)
         ratios = [Fraction(budget - sigma(h, s), ell - len(s)) for s in sets]
         least = min(ratios)
         zv = z_value(h, ell)
@@ -415,7 +415,7 @@ class TestZValue:
             assert zv.z == 0
             return
         budget = (ell - h.r + 1) * len(shadow(h))
-        for r_set in clique_set(h, ell - 1).all():
+        for r_set in two_covered_sets(h, ell - 1):
             assert sigma(h, r_set) <= budget - (ell - len(r_set)) * zv.z
         w = zv.witness
         assert sigma(h, w) == budget - (ell - len(w)) * zv.z
