@@ -16,8 +16,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, count, islice, repeat
-from operator import ge, itemgetter, lt, ne, not_
+from itertools import chain, combinations, islice
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeError, EmptyInputError, ParameterError, ResourceBudgetError
@@ -41,12 +41,6 @@ def mask_to_tuple(mask: int) -> tuple[int, ...]:
         mask >>= 1
         v += 1
     return tuple(out)
-
-
-def _first(flags: Iterable[bool], end: int) -> int:
-    """The index of the first true flag before `end`, or `end` if none is."""
-    at = bytes(flags).find(1, 0, end)
-    return end if at < 0 else at
 
 
 def _shadow_edges(
@@ -115,12 +109,12 @@ class Hypergraph:
     `build` is the one validator of an edge list from outside. Each edge
     must have r vertices (arity), int vertices (type; a bool is an int, so
     True and False are vertices 1 and 0), no repeated vertex, every vertex
-    in 0..n-1 (range), and must not equal an earlier edge (duplicate). The
-    rules are checked in that order, each over the whole list at once; a
-    rule looks only at the edges before the first fault found so far, so
-    the `EdgeError` raised names the first bad edge, by its index, and the
-    first rule that edge breaks, as an edge-by-edge walk would.
-    `cli.parse` maps that index back to a line of the document.
+    in 0..n-1 (range), and must not equal an earlier edge (duplicate).
+    Whole-list tests, one per rule, decide whether the list is valid, and a
+    valid list is returned without a per-edge loop. Any other list is
+    walked once, edge by edge in input order, and the `EdgeError` raised
+    names the first bad edge, by its index, and the first rule that edge
+    breaks. `cli.parse` maps that index back to a line of the document.
     """
 
     r: int
@@ -134,42 +128,38 @@ class Hypergraph:
         if n < 0:
             raise ParameterError(f"vertex count must be >= 0, got {n}")
         edges = list(map(tuple, edges))
-        end, error = len(edges), None
-        # Each rule is tested on the whole list first, and only a rule that
-        # fails looks for its first bad edge among those before `end`.
-        lengths = list(map(len, edges))
-        if lengths.count(r) < end:
-            end = _first(map(ne, lengths, repeat(r)), end)
-            error = f"expected {r} vertices, got {lengths[end]}"
-            del edges[end:]
-        columns = _columns(edges, r)
-        if not _ints(map(sum, columns)):
-            end = _first(map(not_, map(_ints, edges)), end)
-            error = f"non-integer vertex in edge {edges[end]}"
-            del edges[end:]
+        if list(map(len, edges)).count(r) == len(edges):
             columns = _columns(edges, r)
-        if not _increasing(columns):
-            edges = list(map(tuple, map(sorted, edges)))
-            columns = _columns(edges, r)
-            if not _increasing(columns):
-                end = min(_first(map(ge, a, b), end) for a, b in zip(columns, columns[1:]))
-                error = f"repeated vertex in edge {edges[end]}"
-        if edges and (min(columns[0]) < 0 or max(columns[-1]) >= n):
-            at = min(_first(map(lt, columns[0], repeat(0)), end),
-                     _first(map(ge, columns[-1], repeat(n)), end))
-            if at < end:
-                t = edges[at]
-                end, error = at, f"vertex {t[0] if t[0] < 0 else t[-1]} outside 0..{n - 1}"
-        del edges[end:]
-        ordered = all(map(lt, edges, islice(edges, 1, None)))
-        if not ordered and len(set(edges)) < end:
-            # setdefault hands back an edge's first index, so only a repeat
-            # of an earlier edge gets an index other than its own.
-            end = bytes(map(ne, map({}.setdefault, edges, count()), count())).find(1)
-            error = f"duplicate edge {edges[end]}"
-        if error is not None:
-            raise EdgeError(end, error)
-        return Hypergraph(r, n, tuple(edges) if ordered else tuple(sorted(edges)))
+            if _ints(map(sum, columns)):
+                increasing = _increasing(columns)
+                if not increasing:
+                    # Every vertex is an int, so the walk below would give
+                    # the same answer on the sorted edges.
+                    edges = list(map(tuple, map(sorted, edges)))
+                    columns = _columns(edges, r)
+                    increasing = _increasing(columns)
+                if increasing and (
+                    not edges or (min(columns[0]) >= 0 and max(columns[-1]) < n)
+                ):
+                    ordered = all(map(lt, edges, islice(edges, 1, None)))
+                    if ordered or len(set(edges)) == len(edges):
+                        return Hypergraph(r, n, tuple(edges) if ordered else tuple(sorted(edges)))
+        # Some rule fails: walk the edges in input order to the first fault.
+        seen: set[tuple[int, ...]] = set()
+        for i, e in enumerate(edges):
+            if len(e) != r:
+                raise EdgeError(i, f"expected {r} vertices, got {len(e)}")
+            if not _ints(e):
+                raise EdgeError(i, f"non-integer vertex in edge {e}")
+            t = tuple(sorted(e))
+            if len(set(t)) < r:
+                raise EdgeError(i, f"repeated vertex in edge {t}")
+            if t[0] < 0 or t[-1] >= n:
+                raise EdgeError(i, f"vertex {t[0] if t[0] < 0 else t[-1]} outside 0..{n - 1}")
+            if t in seen:
+                raise EdgeError(i, f"duplicate edge {t}")
+            seen.add(t)
+        return Hypergraph(r, n, tuple(sorted(seen)))
 
     def __len__(self) -> int:
         return len(self.edges)

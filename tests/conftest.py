@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from shadowlab import Cancellative, Expansion, Hypergraph, complete, turan
-from shadowlab.errors import ParameterError
+from shadowlab.errors import EdgeError, ParameterError
 from shadowlab.extremal import enumerate_free_classes, random_free_graph
 
 RANDOM_CORPUS_SIZE = 10_000
@@ -59,26 +59,26 @@ def reference_build(r, n, edges) -> Hypergraph:
     """The edge-by-edge walk: each edge in input order must have r
     vertices, all ints, then, sorted, no repeated vertex, every vertex in
     0..n-1, and must not equal an earlier edge; the first broken rule
-    raises."""
+    raises an `EdgeError` with the index of that edge."""
     if r < 1:
         raise ParameterError(f"uniformity must be >= 1, got {r}")
     if n < 0:
         raise ParameterError(f"vertex count must be >= 0, got {n}")
     seen = {}
-    for e in edges:
+    for i, e in enumerate(edges):
         e = tuple(e)
         if len(e) != r:
-            raise ParameterError(f"expected {r} vertices, got {len(e)}")
+            raise EdgeError(i, f"expected {r} vertices, got {len(e)}")
         if not all(isinstance(v, int) for v in e):
-            raise ParameterError(f"non-integer vertex in edge {e}")
+            raise EdgeError(i, f"non-integer vertex in edge {e}")
         t = tuple(sorted(e))
         if len(set(t)) != r:
-            raise ParameterError(f"repeated vertex in edge {t}")
+            raise EdgeError(i, f"repeated vertex in edge {t}")
         if t[0] < 0 or t[-1] >= n:
             bad = t[0] if t[0] < 0 else t[-1]
-            raise ParameterError(f"vertex {bad} outside 0..{n - 1}")
+            raise EdgeError(i, f"vertex {bad} outside 0..{n - 1}")
         if t in seen:
-            raise ParameterError(f"duplicate edge {t}")
+            raise EdgeError(i, f"duplicate edge {t}")
         seen[t] = None
     return Hypergraph(r, n, tuple(sorted(seen)))
 

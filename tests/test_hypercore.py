@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import re
 import subprocess
 import sys
@@ -126,6 +127,51 @@ class TestBuild:
         with pytest.raises(EdgeError, match=re.escape(words)) as info:
             Hypergraph.build(3, 5, edges)
         assert info.value.index == index
+
+    @staticmethod
+    def k30_edges(order):
+        """The 4,060 edges of K_30^3: sorted, or shuffled, or with each
+        edge's vertices reversed, or both."""
+        edges = list(complete(30, 3).edges)
+        if "shuffled" in order:
+            random.Random(30).shuffle(edges)
+        if "reversed" in order:
+            edges = [e[::-1] for e in edges]
+        return edges
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled-reversed"])
+    @pytest.mark.parametrize("at", ["end", "middle"])
+    @pytest.mark.parametrize("rule", ["arity", "type", "repeat", "range", "duplicate"])
+    def test_walk_names_one_fault_in_a_long_list(self, rule, at, order):
+        """One edge of K_30^3 breaks one rule: build names it, by index and
+        message, as the reference walk does."""
+        edges = self.k30_edges(order)
+        bad = {
+            "arity": (0, 1),
+            "type": (0, 1.5, 2),
+            "repeat": (3, 7, 3),
+            "range": (0, 30, 1),
+            "duplicate": edges[0][::-1],
+        }[rule]
+        index = len(edges) if at == "end" else len(edges) // 2
+        edges.insert(index, bad)
+        with pytest.raises(EdgeError) as expected:
+            reference_build(3, 30, edges)
+        with pytest.raises(EdgeError) as got:
+            Hypergraph.build(3, 30, edges)
+        assert expected.value.index == index
+        assert (got.value.index, str(got.value)) == (index, str(expected.value))
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled", "reversed"])
+    def test_a_valid_list_is_never_walked(self, order, monkeypatch):
+        """A valid list is decided by the whole-list tests alone: `_ints`,
+        which the walk calls once per edge, is called once in all."""
+        edges = self.k30_edges(order)
+        calls = []
+        ints = hypercore._ints
+        monkeypatch.setattr(hypercore, "_ints", lambda values: calls.append(1) or ints(values))
+        assert Hypergraph.build(3, 30, edges) == complete(30, 3)
+        assert len(calls) == 1
 
     def test_huge_uniformity_sizes_nothing(self):
         """r comes from outside, so an empty or refused list must allocate
@@ -343,6 +389,21 @@ class TestZValue:
         # K_5^3 with ell=3: pair degree sums exceed the budget
         zv = z_value(complete(5, 3), 3)
         assert zv.z == 0 and zv.clamped
+
+    def test_two_uniform_budget_reads_the_shadow(self):
+        """K_4^2 at ell = 3: the budget is 2|shadow| = 8, not 2|H| = 12, so
+        z = min over the cliques of (8 - sigma(R)) / (3 - |R|) = 2."""
+        zv = z_value(complete(4, 2), 3)
+        assert (zv.z, zv.clamped) == (Fraction(2), False)
+
+    def test_exact_zero_is_not_clamped(self):
+        """A least ratio of exactly 0 gives z = 0 with `clamped` False: on
+        this 3-graph the pair (0, 1) has degree sum 15, all of the budget
+        (ell - r + 1)|shadow| = 15."""
+        edges = "013 014 015 023 024 034 035 045 124 125 135 145 234 235".split()
+        h = Hypergraph.build(3, 6, [tuple(map(int, e)) for e in edges])
+        zv = z_value(h, 3)
+        assert (zv.z, zv.witness, zv.clamped) == (Fraction(0), (0, 1), False)
 
     def test_parameter_checks(self, t6):
         with pytest.raises(ParameterError):

@@ -15,6 +15,7 @@ from shadowlab import (
     complete,
     forbidden,
     perturb,
+    sigma,
     stability,
     turan,
     turan_padded,
@@ -451,6 +452,15 @@ class TestCoreExtractCancellative:
             with pytest.raises(ParameterError):
                 core_extract_cancellative(t6, eps)
 
+    def test_member_at_the_threshold_is_kept(self):
+        """eps = 1/576 makes the threshold (2/3 - 6/24)|shadow| = 5.0, and
+        four shadow pairs have degree sum exactly 5."""
+        edges = [(0, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 5), (2, 3, 6)]
+        core = core_extract_cancellative(Hypergraph.build(3, 7, edges), 1 / 576)
+        assert core.threshold == 5.0
+        assert core.members == ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 5))
+        assert core.core == (1, 2, 3, 4, 5)
+
     def test_core_inside_support(self):
         h = turan_padded(10, 6, 3, 3)
         core = core_extract_cancellative(h, 0.01)
@@ -474,6 +484,15 @@ class TestCoreExtractExpansion:
         core = core_extract_expansion(k4, 4, 0.05)
         assert core.members and core.flags.items
 
+    def test_member_at_the_threshold_is_kept(self):
+        """ell = 4 and eps = 1/16 make the threshold (1/2)(2/4)(2)|shadow| =
+        6.0, and the shadow pair (1, 4) has degree sum exactly 6."""
+        edges = [(0, 2, 5), (0, 3, 5), (1, 2, 3), (1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 5)]
+        h = Hypergraph.build(3, 6, edges)
+        core = core_extract_expansion(h, 4, 1 / 16)
+        assert core.threshold == 6.0 and sigma(h, (1, 4)) == 6
+        assert (1, 4) in core.members
+
     def test_rejects_covered_clique(self):
         with pytest.raises(PreconditionError):
             core_extract_expansion(complete(5, 3), 3, 0.1)
@@ -492,6 +511,12 @@ class TestCertificate:
         h = Hypergraph.build(3, 6, t6.edges[1:])
         cert = stability_certificate(h, Cancellative(), 0.2, 0.2)
         assert cert.passed and cert.fit.removed == 0
+
+    def test_zero_eps_is_refused_below_the_hypothesis(self):
+        """T_3(7) is below the cancellative hypothesis, so no core
+        extraction runs to refuse eps = 0: the certificate must."""
+        with pytest.raises(ParameterError):
+            stability_certificate(turan(7, 3, 3)[0], Cancellative(), 0, 0.1)
 
     def test_sparse_input_fails_hypothesis(self):
         # two disjoint edges: shadow 6 gives bound 2.83, well above |H| = 2
